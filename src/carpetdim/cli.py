@@ -163,7 +163,7 @@ def _cmd_validate(system, args):
 def _cmd_dims(system, args):
     warnings = []
     if system.klass == GATZOURAS_LALLEY:
-        report = gl_dims(system, seed=args.seed)
+        report = gl_dims(system)
         results = {
             "klass": system.klass,
             "dim_proj_box_1": report.dim_proj_box_1,
@@ -176,7 +176,7 @@ def _cmd_dims(system, args):
         }
         extra = {"optimizer": report.diagnostics}
     elif system.klass == BARANSKI:
-        directional, dim_h, dim_a = baranski_dims(system, seed=args.seed)
+        directional, dim_h, dim_a = baranski_dims(system)
         results = {
             "klass": system.klass,
             "d1": directional.d1,
@@ -313,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="carpet config JSON ('-' = stdin; a previous "
                              "envelope with results.system also works)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized internals (echoed in "
-                             "diagnostics)")
+                        help="echoed in diagnostics; no command uses it "
+                             "(every solver is deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("validate", help="classify the system and report "

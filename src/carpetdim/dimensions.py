@@ -17,14 +17,24 @@ scalar root-findings and one simplex maximization:
 For a Baranski system the two axes compete.  The axis-j value s_j(w) (same
 shape with j and the orthogonal axis j' swapped in) is maximized over
 P_j = {w : chi_j(w) <= chi_{j'}(w)} and dimH = max_j d_j.  On the boundary
-chi_j = chi_{j'} the value collapses to H(w)/chi_j(w), and the constrained
-maximum is found by a Lagrange sweep on the linear constraint.  Directional
-totals A_j = dimB eta_j(K) + t_j give dimA = max_j A_j; no closed form for
-the Baranski box dimension is provided, only the empirical estimate from the
+chi_j = chi_{j'} the value collapses to H(w)/chi_j(w).  Directional totals
+A_j = dimB eta_j(K) + t_j give dimA = max_j A_j; no closed form for the
+Baranski box dimension is provided, only the empirical estimate from the
 geometry layer.
 
-The simplex searches run as projected-gradient ascent in the softmax
-parameterization, batched over 16 deterministic restarts.
+Every Ledrappier-Young maximum, GL or Baranski, interior or boundary, comes
+from one deterministic solver in Gibbs form.  With a_l the axis-j ratio of
+class l, b_i the orthogonal ratio of map i and Z_l(kappa) = sum of b_i^kappa
+over class l, the maximum over the slice chi_j = theta chi_j' (theta <= 1,
+where the value is concave over linear) is attained at
+w_i = q_l b_i^kappa / Z_l(kappa), q_l = a_l^(s - kappa) Z_l(kappa)^theta,
+and its value s is the root of min_kappa Phi(s, kappa; theta) = 0 for the
+jointly convex Phi = log sum_l a_l^(s - kappa) Z_l(kappa)^theta.  Along
+theta the slice value moves at rate psi/chi_j, psi = sum_l q_l log Z_l:
+interior maxima are roots of psi, where kappa is the Dinkelbach ratio of
+the conditional part and q_l ~ a_l^D Z_l(kappa)^theta with D = H(q)/chi_j,
+and theta = 1 is the boundary.  A root that misses its tolerance within a
+fixed cap raises OptimizerFailure.
 """
 
 from __future__ import annotations
@@ -39,10 +49,11 @@ from .moran import solve_moran
 from .systems import (BARANSKI, DIAGONAL_ONLY, GATZOURAS_LALLEY,
                       CarpetSystem, ProbabilityVector)
 
-_GRAD_TOL = 1e-9
-_RESTARTS = 16
-_MAX_ITER = 4000
-_INTERIOR_MIN = 1e-9
+_TOL = 1e-15          # relative step at which Newton and regula falsi stop
+_DECREMENT = 1e-28    # Newton decrement in kappa below rounding of Phi
+_PSI_TOL = 1e-14      # |psi| at which the slice counts as stationary
+_MAX_STEPS = 200      # cap per iteration; beyond it OptimizerFailure
+_GRID = 12            # slices that bracket the stationary points in theta
 
 
 @dataclass(frozen=True)
@@ -102,130 +113,139 @@ def entropy_stats(system: CarpetSystem, p):
     return (H, marginals[0], marginals[1], chi[0], chi[1])
 
 
-# ------------------------------------------------- batched simplex ascent
+# ------------------------------------------ Ledrappier-Young maximisation
 
-def _softmax(u):
-    shifted = u - u.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+class _AxisProblem:
+    """The axis-j maximisation in Gibbs form (see the module docstring).
+    Maps are sorted by axis-j class l, of ratio a_l; b_i is the orthogonal
+    ratio of map i.  A slice is the tuple (theta, psi, (s, kappa, w))."""
 
-
-def _entropy_terms(w):
-    safe = np.maximum(w, 1e-300)
-    return -np.sum(w * np.log(safe), axis=1), -(1.0 + np.log(safe))
-
-
-class _AxisObjective:
-    """Ledrappier-Young value/gradient for one projection axis, batched over
-    rows of probability vectors."""
-
-    def __init__(self, system: CarpetSystem, j: int):
-        n = len(system.maps)
-        other = 2 if j == 1 else 1
-        self.log_rj = np.array([math.log(float(m.ratio(j)))
-                                for m in system.maps])
-        self.log_ro = np.array([math.log(float(m.ratio(other)))
-                                for m in system.maps])
+    def __init__(self, system, j):
         lookup = system.class_index(j)
-        self.member = np.zeros((len(system.classes(j)), n))
-        for i in range(n):
-            self.member[lookup[i], i] = 1.0
+        self.order = np.argsort([lookup[i] for i in range(len(system.maps))],
+                                kind="stable")
+        self.cls = np.array([lookup[int(i)] for i in self.order])
+        self.starts = np.flatnonzero(np.diff(self.cls, prepend=-1))
+        self.log_a = np.log([float(c.ratio) for c in system.classes(j)])
+        self.log_b = np.log([float(system.maps[i].ratio(3 - j))
+                             for i in self.order])
+        ratio = self.log_a[self.cls] / self.log_b   # theta of a point mass
+        self.lo, self.hi = float(ratio.min()), float(ratio.max())
+        self.iterations = 0
 
-    def __call__(self, w, need_grad=True):
-        wc = w @ self.member.T
-        H, gH = _entropy_terms(w)
-        Hn, gHnc = _entropy_terms(wc)
-        chij = -(w @ self.log_rj)
-        chio = -(w @ self.log_ro)
-        val = Hn / chij + (H - Hn) / chio
-        if not need_grad:
-            return val, None
-        gHn = gHnc @ self.member
-        gchij = -self.log_rj
-        gchio = -self.log_ro
-        grad = ((gHn * chij[:, None] - Hn[:, None] * gchij) / chij[:, None] ** 2
-                + ((gH - gHn) * chio[:, None] - (H - Hn)[:, None] * gchio)
-                / chio[:, None] ** 2)
-        return val, grad
+    def gibbs(self, s, kappa, theta):
+        """(Phi, dPhi/dkappa, d2Phi/dkappa2, w, chi_j(w), psi) at a point."""
+        cls, starts, log_b = self.cls, self.starts, self.log_b
+        e = kappa * log_b
+        top = np.maximum.reduceat(e, starts)
+        ex = np.exp(e - top[cls])
+        z = np.add.reduceat(ex, starts)
+        p = ex / z[cls]
+        log_z = np.log(z) + top
+        mean = np.add.reduceat(p * log_b, starts)
+        var = np.add.reduceat(p * (log_b - mean[cls]) ** 2, starts)
+        u = (s - kappa) * self.log_a + theta * log_z
+        q = np.exp(u - u.max())
+        phi = float(u.max() + np.log(q.sum()))
+        q /= q.sum()
+        du = theta * mean - self.log_a
+        d1 = float(q @ du)
+        d2 = float(q @ (du - d1) ** 2 + theta * (q @ var))
+        chi = -float(q @ self.log_a)
+        return phi, d1, d2, q[cls] * p, chi, float(q @ log_z)
 
+    def slice(self, theta, s=0.0, kappa=0.0):
+        """The maximum on chi_j = theta chi_j': Newton in s on the convex
+        decreasing min_kappa Phi, whose minimum comes from Newton in kappa
+        kept in a sign bracket; each stops at rounding."""
+        self.iterations += 1
+        if self.iterations > _MAX_STEPS:
+            raise OptimizerFailure("more than %d slices" % _MAX_STEPS)
+        last = math.inf
+        for _ in range(_MAX_STEPS):
+            lo, hi = -math.inf, math.inf
+            for _ in range(_MAX_STEPS):
+                phi, d1, d2, w, chi, psi = self.gibbs(s, kappa, theta)
+                if self.lo == self.hi or d1 * d1 <= _DECREMENT * d2:
+                    break                 # flat: Phi does not vary in kappa
+                lo, hi = (lo, kappa) if d1 > 0.0 else (kappa, hi)
+                new = kappa - d1 / d2 if d2 > 0.0 else math.nan
+                if not lo < new < hi:
+                    new = (0.5 * (lo + hi) if math.isfinite(lo + hi) else
+                           kappa - math.copysign(max(1.0, abs(kappa)), d1))
+                if abs(new - kappa) <= _TOL * max(1.0, abs(kappa)):
+                    break
+                kappa = new
+            else:
+                raise OptimizerFailure("Phi has no minimum in kappa at "
+                                       "theta=%.15g" % theta)
+            step = phi / chi
+            if abs(step) <= _TOL * max(1.0, abs(s)) or abs(step) >= last:
+                return theta, psi, (s, kappa, w)
+            s, last = s + step, abs(step)
+        raise OptimizerFailure("no slice maximum at theta=%.15g" % theta)
 
-class _BoundaryObjective:
-    """H(w)/chi_j(w) + lam * (chi_j'(w) - chi_j(w)): the boundary value of
-    the axis objective plus a Lagrange term on the linear constraint."""
+    def maximise(self):
+        """(value, w, diagnostics) of the maximum over P_j = {theta <= 1},
+        or None when P_j has no interior.  Interior maxima are the roots
+        where psi falls through zero (psi -> +inf at theta_lo, -inf at
+        theta_hi <= 1); the slice maximum need not be unimodal, so _GRID
+        slices bracket roots that are a grid step apart or more.  The
+        boundary theta = 1 is a candidate when psi(1) >= 0."""
+        if self.lo > 1.0 or self.lo == 1.0 < self.hi:
+            return None
+        if self.lo == self.hi:
+            return self._result(*self.slice(self.lo))
+        up = min(1.0, self.hi)     # theta_hi = 1 is an end, not a boundary
+        n = _GRID if self.hi > 1.0 else _GRID + 1
+        points = [(self.lo, math.inf, (0.0, 0.0))]
+        for k in range(1, _GRID + 1):
+            theta = up - (up - self.lo) * (n - k) / n
+            points.append(self.slice(theta, *points[-1][2][:2]))
+        rising = self.hi > 1.0 and points[-1][1] >= 0.0
+        best = [points[-1]] if rising else []
+        if self.hi <= 1.0:
+            points.append((self.hi, -math.inf, None))
+        best += [self._root(a, b) for a, b in zip(points, points[1:])
+                 if a[1] > 0.0 >= b[1]]
+        return self._result(*max(best, key=lambda point: point[2][0]))
 
-    def __init__(self, system: CarpetSystem, j: int, lam: float):
-        other = 2 if j == 1 else 1
-        self.log_rj = np.array([math.log(float(m.ratio(j)))
-                                for m in system.maps])
-        self.log_ro = np.array([math.log(float(m.ratio(other)))
-                                for m in system.maps])
-        self.lam = lam
+    def _root(self, a, b):
+        """Root of psi between slices a (psi > 0) and b (psi <= 0): halving
+        while an end is infinite, Illinois regula falsi after."""
+        point, side = (b if math.isinf(a[1]) else a), 0
+        while abs(point[1]) > _PSI_TOL and b[0] - a[0] > _TOL * b[0]:
+            (ta, fa, _), (tb, fb, _) = a, b
+            theta = (0.5 * (ta + tb) if math.isinf(fa - fb)
+                     else (ta * fb - tb * fa) / (fb - fa))
+            point = self.slice(theta, *point[2][:2])
+            if point[1] > 0.0:
+                a, b, side = point, (b if side < 1 else (tb, fb / 2, 0)), 1
+            else:
+                a, b, side = (a if side > -1 else (ta, fa / 2, 0)), point, -1
+        return point
 
-    def constraint(self, w):
-        return w @ (self.log_rj - self.log_ro)
-
-    def __call__(self, w, need_grad=True):
-        H, gH = _entropy_terms(w)
-        chij = -(w @ self.log_rj)
-        val = H / chij + self.lam * self.constraint(w)
-        if not need_grad:
-            return val, None
-        gchij = -self.log_rj
-        grad = ((gH * chij[:, None] - H[:, None] * gchij)
-                / chij[:, None] ** 2
-                + self.lam * (self.log_rj - self.log_ro))
-        return val, grad
-
-
-def _ascend(objective, n, seed=0, start=None, restarts=_RESTARTS,
-            max_iter=_MAX_ITER, strict=True):
-    """Maximize over the open simplex; returns (value, w, diagnostics).
-
-    Projected-gradient ascent in softmax coordinates with per-restart
-    adaptive steps; a restart counts as converged when the simplex-tangent
-    gradient drops below 1e-9 in the sup norm.  With strict=False the best
-    row is returned even when no restart met the tolerance, for callers that
-    refine the answer themselves.
-    """
-    rng = np.random.default_rng(seed)
-    u = rng.normal(0.0, 1.0, size=(restarts, n))
-    if start is not None:
-        u[0] = np.log(np.maximum(start, 1e-300))
-    alpha = np.full(restarts, 0.25)
-    w = _softmax(u)
-    val, gw = objective(w)
-    gu = w * (gw - np.sum(gw * w, axis=1, keepdims=True))
-    gnorm = np.max(np.abs(gu), axis=1)
-    iterations = 0
-    # rows are frozen once they converge so stragglers set the cost alone
-    while iterations < max_iter and np.any(gnorm >= _GRAD_TOL):
-        iterations += 1
-        idx = np.flatnonzero(gnorm >= _GRAD_TOL)
-        trial = u[idx] + alpha[idx, None] * gu[idx]
-        tval, _ = objective(_softmax(trial), need_grad=False)
-        better = tval >= val[idx]
-        u[idx] = np.where(better[:, None], trial, u[idx])
-        alpha[idx] = np.where(better, np.minimum(alpha[idx] * 1.3, 50.0),
-                              np.maximum(alpha[idx] * 0.5, 1e-18))
-        w[idx] = _softmax(u[idx])
-        val[idx], sub_gw = objective(w[idx])
-        sub_gu = w[idx] * (sub_gw - np.sum(sub_gw * w[idx], axis=1,
-                                           keepdims=True))
-        gu[idx] = sub_gu
-        gnorm[idx] = np.max(np.abs(sub_gu), axis=1)
-    converged = gnorm < _GRAD_TOL
-    if converged.any():
-        val = np.where(converged, val, -np.inf)
-    elif strict:
-        raise OptimizerFailure(
-            "no restart converged; best value %.12f with gradient %.3e"
-            % (float(val.max()), float(gnorm.min())))
-    best = int(np.argmax(val))
-    diag = {"iterations": int(iterations),
-            "restarts": int(restarts),
-            "converged_restarts": int(converged.sum()),
-            "grad_inf": float(gnorm[best])}
-    return float(val[best]), w[best], diag
+    def _result(self, theta, psi, state):
+        """(s, w, diagnostics); the residual is the sup norm of the axis
+        value's gradient in softmax coordinates, projected off the
+        constraint chi_j = chi_j' on the boundary."""
+        s, kappa, w = state
+        boundary = theta == 1.0 and self.lo != self.hi
+        log_a = self.log_a[self.cls]
+        log_q = np.log(np.add.reduceat(w, self.starts))[self.cls]
+        log_p = np.log(w) - log_q
+        chi, chi_o = -float(w @ log_a), -float(w @ self.log_b)
+        grad = -((w @ log_q / chi * log_a + 1.0 + log_q) / chi
+                 + (w @ log_p / chi_o * self.log_b + log_p) / chi_o)
+        tangent = w * (grad - w @ grad)
+        if boundary:
+            normal = w * (log_a - self.log_b - w @ (log_a - self.log_b))
+            tangent -= (tangent @ normal) / (normal @ normal) * normal
+        out = np.empty_like(w)
+        out[self.order] = w
+        return s, out, {"iterations": self.iterations, "boundary": boundary,
+                        "theta": theta, "kappa": kappa, "psi": psi,
+                        "stationarity_residual": float(np.abs(tangent).max())}
 
 
 # ----------------------------------------------------------- GL closed form
@@ -234,43 +254,21 @@ def _column_moran(system, axis):
     return solve_moran([float(c.ratio) for c in system.classes(axis)])
 
 
-def _axis_intervals_aligned(system, axis):
-    """Distinct projection classes pairwise have disjoint open intervals."""
-    classes = system.classes(axis)
-    spans = sorted((float(c.offset), float(c.offset + c.ratio))
-                   for c in classes)
-    return all(spans[k][1] <= spans[k + 1][0] + 1e-12
-               for k in range(len(spans) - 1))
-
-
 def _solve_box_dimension(system, s_eta):
-    """Root of sum_i r1_i^{s_eta} r2_i^{s - s_eta} = 1, decreasing in s."""
-    r1 = np.array([float(m.r1) for m in system.maps])
-    r2 = np.array([float(m.r2) for m in system.maps])
-    a = r1 ** s_eta
-
-    def f(s):
-        return float(np.sum(a * r2 ** (s - s_eta))) - 1.0
-
-    lo = s_eta
-    hi = s_eta + math.log(float(np.sum(a))) / -math.log(float(r2.max())) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    s = 0.5 * (lo + hi)
-    for _ in range(5):
-        fs = f(s)
-        dfs = float(np.sum(a * r2 ** (s - s_eta) * np.log(r2)))
-        if dfs == 0.0:
-            break
-        step = fs / dfs
-        s = min(max(s - step, lo - 1.0), hi + 1.0)
-    return s, abs(f(s))
+    """Root of sum_i r1_i^{s_eta} r2_i^{s - s_eta} = 1 and its residual.  The
+    log of the sum is convex, decreasing in s and >= 0 at s_eta, so Newton
+    steps from s_eta climb to the root and shrink until rounding stops them."""
+    log_r1 = np.log([float(m.r1) for m in system.maps])
+    log_r2 = np.log([float(m.r2) for m in system.maps])
+    s, last = s_eta, math.inf
+    for _ in range(_MAX_STEPS):
+        terms = np.exp(s_eta * log_r1 + (s - s_eta) * log_r2)
+        total = float(terms.sum())
+        step = math.log(total) * total / -float(terms @ log_r2)
+        if abs(step) <= _TOL * max(1.0, s) or abs(step) >= last:
+            return s, abs(total - 1.0)
+        s, last = s + step, abs(step)
+    raise OptimizerFailure("box dimension root not reached")
 
 
 def _slice_exponents(system, axis):
@@ -282,37 +280,24 @@ def _slice_exponents(system, axis):
             for c in system.classes(axis)]
 
 
-def gl_hausdorff(system: CarpetSystem, seed=0):
+def gl_hausdorff(system: CarpetSystem):
     """Hausdorff dimension of a GatzourasLalley carpet: maximize the axis-1
     Ledrappier-Young value over the simplex.  Returns (value, argmax)."""
-    if system.klass != GATZOURAS_LALLEY:
-        raise WrongClass("need GatzourasLalley, got %s" % system.klass)
-    value, w, _ = _ascend(_AxisObjective(system, 1), len(system.maps),
-                          seed=seed)
-    if w.min() < _INTERIOR_MIN:
-        raise OptimizerFailure(
-            "maximizer touched the simplex boundary (min weight %.3e)"
-            % float(w.min()))
-    return value, ProbabilityVector(tuple(float(v) for v in w))
+    report = gl_dims(system)
+    return report.dimH, report.argmax_p
 
 
-def gl_dims(system: CarpetSystem, seed=0) -> DimensionReport:
+def gl_dims(system: CarpetSystem) -> DimensionReport:
     """Full dimension report for a GatzourasLalley carpet."""
     if system.klass != GATZOURAS_LALLEY:
         raise WrongClass("need GatzourasLalley, got %s" % system.klass)
     s_eta = _column_moran(system, 1)
-    proj2 = (_column_moran(system, 2)
-             if _axis_intervals_aligned(system, 2) else None)
+    proj2 = _column_moran(system, 2) if system.aligned(2) else None
     dimB, box_residual = _solve_box_dimension(system, s_eta)
     t = _slice_exponents(system, 1)
     dimA = s_eta + max(t)
     dimL = s_eta + min(t)
-    objective = _AxisObjective(system, 1)
-    dimH, w, opt_diag = _ascend(objective, len(system.maps), seed=seed)
-    if w.min() < _INTERIOR_MIN:
-        raise OptimizerFailure(
-            "maximizer touched the simplex boundary (min weight %.3e)"
-            % float(w.min()))
+    dimH, w, opt_diag = _AxisProblem(system, 1).maximise()
     argmax = ProbabilityVector(tuple(float(v) for v in w))
     ratios = [float(c.ratio) for c in system.classes(1)]
     proj_residual = abs(math.fsum(r ** s_eta for r in ratios) - 1.0)
@@ -327,134 +312,23 @@ def gl_dims(system: CarpetSystem, seed=0) -> DimensionReport:
 
 # ------------------------------------------------------ Baranski directional
 
-def _boundary_polish(system, j, w0, max_iter=4000):
-    """Maximize H(w)/chi_j(w) over the slice {w in simplex : chi_j = chi_j'}.
-
-    The slice is the intersection of the simplex with the hyperplane
-    w . delta = 0 where delta_i is the log ratio gap of map i, so ascent
-    directions are gradients projected onto {v . 1 = 0, v . delta = 0}.
-    The objective is a concave numerator over a positive affine denominator,
-    hence pseudoconcave on the convex slice: any stationary point is the
-    global maximum and plain projected ascent suffices.
-    """
-    other = 2 if j == 1 else 1
-    log_rj = np.array([math.log(float(m.ratio(j))) for m in system.maps])
-    log_ro = np.array([math.log(float(m.ratio(other))) for m in system.maps])
-    delta = log_rj - log_ro
-    gram = np.array([[float(len(delta)), delta.sum()],
-                     [delta.sum(), float(delta @ delta)]])
-
-    def value_grad(w):
-        H, gH = _entropy_terms(w[None, :])
-        chi = -float(w @ log_rj)
-        val = float(H[0]) / chi
-        grad = (gH[0] * chi + float(H[0]) * log_rj) / chi ** 2
-        return val, grad
-
-    w = np.maximum(w0, 1e-300)
-    a, b = np.linalg.solve(gram, [w.sum() - 1.0, float(w @ delta)])
-    w = w - a - b * delta
-    val, grad = value_grad(w)
-    step, gnorm, it = 0.1, math.inf, 0
-    for it in range(1, max_iter + 1):
-        a, b = np.linalg.solve(gram, [grad.sum(), float(grad @ delta)])
-        tangent = grad - a - b * delta
-        gnorm = float(np.max(np.abs(tangent)))
-        if gnorm < 1e-11:
-            break
-        trial = w + step * tangent
-        if trial.min() <= 0.0:
-            step *= 0.5
-            continue
-        tval, tgrad = value_grad(trial)
-        if tval >= val:
-            w, val, grad = trial, tval, tgrad
-            step = min(step * 1.3, 10.0)
-        else:
-            step = max(step * 0.5, 1e-18)
-    return val, w, {"polish_iterations": it, "polish_grad_inf": gnorm,
-                    "constraint_residual": float(w @ delta)}
-
-
-def _constrained_axis_max(system, j, seed=0):
-    """max of the axis-j value over P_j = {chi_j <= chi_j'}.
-
-    Returns (value, w, diagnostics) or None when P_j has no interior.  When
-    the unconstrained maximizer is infeasible the maximum lies on the
-    hyperplane chi_j = chi_j', where the objective equals H/chi_j.  A
-    bisection on the Lagrange multiplier of the linear constraint brackets
-    the boundary with penalized maximizers from both sides; the constraint
-    is linear in w, so the bracket interpolates to an exact boundary point,
-    which projected ascent along the slice then sharpens.
-    """
-    other = 2 if j == 1 else 1
-    delta = np.array([math.log(float(m.ratio(j)))
-                      - math.log(float(m.ratio(other)))
-                      for m in system.maps])
-    n = len(system.maps)
-    if delta.max() < -1e-15:
-        return None                       # chi_j > chi_j' everywhere
-    value, w, diag = _ascend(_AxisObjective(system, j), n, seed=seed)
-    slack = float(w @ delta)              # chi_j'(w) - chi_j(w)
-    if slack >= -1e-10:
-        diag["boundary"] = False
-        return value, w, diag
-
-    def solve(lam, start):
-        # coarse inner solves: the bracket only seeds the boundary polish,
-        # which owns the precision
-        objective = _BoundaryObjective(system, j, lam)
-        _, wl, _ = _ascend(objective, n, seed=seed + 1, start=start,
-                           restarts=2, max_iter=300, strict=False)
-        return float(wl @ delta), wl
-
-    lam_hi, start = 1.0, w
-    for _ in range(60):
-        c_hi, w_hi = solve(lam_hi, start)
-        if c_hi >= 0.0:
-            break
-        start = w_hi
-        lam_hi *= 2.0
-    else:
-        return None                       # constraint unreachable in practice
-    lam_lo, c_lo, w_lo = 0.0, slack, w
-    for _ in range(10):
-        if lam_hi - lam_lo <= 1e-9 * lam_hi:
-            break
-        lam = 0.5 * (lam_lo + lam_hi)
-        c, w_lam = solve(lam, w_hi)
-        if c < 0.0:
-            lam_lo, c_lo, w_lo = lam, c, w_lam
-        else:
-            lam_hi, c_hi, w_hi = lam, c, w_lam
-    t = c_lo / (c_lo - c_hi) if c_hi > c_lo else 0.0
-    w_cross = w_lo + t * (w_hi - w_lo)
-    value, w_star, polish = _boundary_polish(system, j, w_cross)
-    diag = {"boundary": True, "lambda": float(lam_hi), **polish}
-    return value, w_star, diag
-
-
-def baranski_dims(system: CarpetSystem, seed=0):
+def baranski_dims(system: CarpetSystem):
     """(BaranskiDirectional, dimH, dimA) for a Baranski (or GL) system."""
     if system.klass not in (BARANSKI, GATZOURAS_LALLEY):
         raise WrongClass("need Baranski or GatzourasLalley, got %s"
                          % system.klass)
-    per_axis = {}
+    fields = {}
     for j in (1, 2):
-        aligned = _axis_intervals_aligned(system, j)
+        aligned = system.aligned(j)
         proj = _column_moran(system, j) if aligned else None
         t_j = max(_slice_exponents(system, j)) if aligned else None
-        best = _constrained_axis_max(system, j, seed=seed)
-        d_j = best[0] if best is not None else None
-        a_j = proj + t_j if (proj is not None and t_j is not None) else None
-        per_axis[j] = (d_j, proj, t_j, a_j)
-    directional = BaranskiDirectional(
-        d1=per_axis[1][0], d2=per_axis[2][0],
-        dimB_eta1=per_axis[1][1], dimB_eta2=per_axis[2][1],
-        t1=per_axis[1][2], t2=per_axis[2][2],
-        A1=per_axis[1][3], A2=per_axis[2][3])
-    d_values = [v for v in (directional.d1, directional.d2) if v is not None]
-    a_values = [v for v in (directional.A1, directional.A2) if v is not None]
+        best = _AxisProblem(system, j).maximise()
+        fields.update({"d%d" % j: best[0] if best else None,
+                       "dimB_eta%d" % j: proj, "t%d" % j: t_j,
+                       "A%d" % j: proj + t_j if aligned else None})
+    directional = BaranskiDirectional(**fields)
+    d_values = [fields[k] for k in ("d1", "d2") if fields[k] is not None]
+    a_values = [fields[k] for k in ("A1", "A2") if fields[k] is not None]
     if not d_values or not a_values:
         raise WrongClass("no axis supports the directional formulas")
     return directional, max(d_values), max(a_values)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -115,19 +116,30 @@ def _cylinder_rect(system, word) -> Rect:
 
 
 def _point_at(system, gamma: EventuallyPeriodicWord):
-    """pi(gamma): the attractor point coded by the word, to float precision."""
+    """pi(gamma): the attractor point coded by the word.
+
+    The composed period map x -> R x + D has the fixed point D / (1 - R);
+    the preperiod maps carry it to the coded point.  Exact systems compose
+    in Fraction arithmetic and round to float once at the end.
+    """
     gamma.check_alphabet(system)
-    x = y = 0.0
-    w = h = 1.0
-    n = 0
-    while (w > 1e-18 or h > 1e-18) and n < 600:
-        m = system.maps[gamma.letter(n)]
-        x += w * float(m.d1)
-        y += h * float(m.d2)
-        w *= float(m.r1)
-        h *= float(m.r2)
-        n += 1
-    return x, y
+    one = Fraction(1) if system.exact else 1.0
+
+    def compose(word):
+        x = y = 0 * one
+        w = h = one
+        for i in word:
+            m = system.maps[i]
+            x += w * m.d1
+            y += h * m.d2
+            w *= m.r1
+            h *= m.r2
+        return x, y, w, h
+
+    px, py, pw, ph = compose(gamma.period)
+    x, y, w, h = compose(gamma.preperiod)
+    return (float(x + w * px / (one - pw)),
+            float(y + h * py / (one - ph)))
 
 
 def cylinders_to_scale(system, r, axis):

@@ -87,6 +87,8 @@ class CarpetSystem:
     rows: tuple             # eta_2 classes, sorted by offset
     eta1_ssc: bool
     eta2_ssc: bool
+    eta1_aligned: bool      # projection condition on axis 1 (see validate)
+    eta2_aligned: bool
     warnings: tuple = field(default=())
 
     def __len__(self):
@@ -98,6 +100,10 @@ class CarpetSystem:
 
     def classes(self, axis: int):
         return self.columns if axis == 1 else self.rows
+
+    def aligned(self, axis: int) -> bool:
+        """Distinct axis classes have disjoint open intervals."""
+        return self.eta1_aligned if axis == 1 else self.eta2_aligned
 
     def class_index(self, axis: int):
         """map index -> class id on the given axis."""
@@ -247,6 +253,8 @@ def validate(maps) -> CarpetSystem:
         rows=rows,
         eta1_ssc=_axis_ssc(columns, exact),
         eta2_ssc=_axis_ssc(rows, exact),
+        eta1_aligned=col_aligned,
+        eta2_aligned=row_aligned,
         warnings=tuple(warnings),
     )
 

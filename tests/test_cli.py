@@ -126,6 +126,18 @@ def test_dims_byte_identical_between_runs(tmp_path, capsys, monkeypatch):
     assert first == second
 
 
+def test_dims_many_thin_cells_exits_zero(tmp_path, capsys, monkeypatch):
+    maps = [{"r1": [9, 20], "r2": [1, 50], "d1": 0, "d2": [j, 50]}
+            for j in range(0, 50, 2)]
+    maps.append({"r1": [1, 2], "r2": [1, 3], "d1": [1, 2], "d2": 0})
+    path = config_file(tmp_path, {"maps": maps})
+    code, envelope, _ = invoke(capsys, monkeypatch,
+                               ["--input", path, "dims"])
+    assert code == 0
+    assert envelope["results"]["dimH"] == pytest.approx(1.586208097653877,
+                                                        abs=1e-12)
+
+
 def test_pointwise_cli_gl(tmp_path, capsys, monkeypatch):
     path = config_file(tmp_path, GL3_CONFIG)
     code, envelope, _ = invoke(

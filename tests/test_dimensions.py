@@ -10,6 +10,7 @@ from carpetdim import (DiagonalMap, OptimizerFailure, ProbabilityVector,
                        RangeError, WrongClass, WrongShape,
                        baranski_1d_reduction, baranski_dims, entropy_stats,
                        gl_dims, gl_hausdorff, reduction_suprema, validate)
+from carpetdim.dimensions import _AxisProblem
 from carpetdim.pointwise import build_exceptional
 
 # Frozen from tests/oracles/dims_oracle.py (closed forms + scipy golden
@@ -65,6 +66,40 @@ def random_gl_system(rng):
     return system
 
 
+def random_baranski_system(rng):
+    """Random cells of a random grid: columns and rows align, and the cell
+    shapes mix wide and tall."""
+    while True:
+        widths = rng.dirichlet(np.ones(int(rng.integers(2, 5)))) * 0.95
+        heights = rng.dirichlet(np.ones(int(rng.integers(2, 5)))) * 0.95
+        x = np.concatenate([[0.0], np.cumsum(widths)[:-1]])
+        y = np.concatenate([[0.0], np.cumsum(heights)[:-1]])
+        cells = [(a, b) for a in range(len(widths))
+                 for b in range(len(heights))]
+        pick = rng.choice(len(cells), size=int(rng.integers(2, len(cells))),
+                          replace=False)
+        system = validate([DiagonalMap(float(widths[cells[c][0]]),
+                                       float(heights[cells[c][1]]),
+                                       float(x[cells[c][0]]),
+                                       float(y[cells[c][1]])) for c in pick])
+        if system.klass == "Baranski":
+            return system
+
+
+def many_thin_cells():
+    """25 thin cells stacked in one column plus one map beside them: a GL
+    carpet on which no restart of the former simplex ascent converged."""
+    maps = [([9, 20], [1, 50], 0, [j, 50]) for j in range(0, 50, 2)]
+    return validate(maps + [([1, 2], [1, 3], [1, 2], 0)])
+
+
+def axis_value(system, w, j=1):
+    """(axis-j Ledrappier-Young value of w, chi_j'(w) - chi_j(w))."""
+    H, H1, H2, chi1, chi2 = entropy_stats(system, w)
+    Hj, chij, chio = (H1, chi1, chi2) if j == 1 else (H2, chi2, chi1)
+    return Hj / chij + (H - Hj) / chio, chio - chij
+
+
 def test_entropy_stats_basics():
     system = gl2()
     H, H1, H2, chi1, chi2 = entropy_stats(system, (0.5, 0.5))
@@ -106,6 +141,99 @@ def test_gl_dims_three_map_reference():
     assert report.dimH == pytest.approx(GL3_DIMH, abs=1e-6)
     assert report.diagnostics["dimB_residual"] <= 1e-12
     assert report.diagnostics["proj_moran_residual"] <= 1e-12
+    optimizer = report.diagnostics["optimizer"]
+    assert isinstance(optimizer["iterations"], int)
+    assert optimizer["stationarity_residual"] <= 1e-12
+
+
+def test_gl_dims_many_thin_cells_matches_scipy():
+    from scipy.optimize import minimize
+
+    system = many_thin_cells()
+    report = gl_dims(system)
+    n = len(system.maps)
+    log_r1 = np.log([float(m.r1) for m in system.maps])
+    log_r2 = np.log([float(m.r2) for m in system.maps])
+    lookup = system.class_index(1)
+    member = np.zeros((len(system.columns), n))
+    for i in range(n):
+        member[lookup[i], i] = 1.0
+
+    def negative(u):
+        e = np.exp(u - u.max())
+        w = e / e.sum()
+        log_q = np.log(member @ w) @ member
+        h_w, h_q = -(w @ np.log(w)), -(w @ log_q)
+        chi1, chi2 = -(w @ log_r1), -(w @ log_r2)
+        grad = ((-(1.0 + log_q) * chi1 + h_q * log_r1) / chi1 ** 2
+                + ((log_q - np.log(w)) * chi2 + (h_w - h_q) * log_r2)
+                / chi2 ** 2)
+        value = h_q / chi1 + (h_w - h_q) / chi2
+        return -value, -(w * (grad - grad @ w))
+
+    res = minimize(negative, np.zeros(n), jac=True, method="BFGS",
+                   options={"gtol": 1e-12, "maxiter": 5000})
+    assert report.dimH == pytest.approx(-res.fun, abs=1e-9)
+    assert report.diagnostics["optimizer"]["stationarity_residual"] <= 1e-12
+
+
+def test_no_random_feasible_vector_beats_the_maximum():
+    rng = np.random.default_rng(2024)
+    for _ in range(15):
+        system = random_gl_system(rng)
+        report = gl_dims(system)
+        best = np.array(report.argmax_p.values)
+        near = best * np.exp(rng.normal(0.0, 0.05, size=(100, len(best))))
+        samples = np.vstack([rng.dirichlet(np.full(len(best), 0.5), 200),
+                             near / near.sum(axis=1, keepdims=True)])
+        for w in samples:
+            assert axis_value(system, w)[0] <= report.dimH + 1e-12
+    for _ in range(15):
+        system = random_baranski_system(rng)
+        directional, dimH, _ = baranski_dims(system)
+        samples = rng.dirichlet(np.full(len(system.maps), 0.5), 300)
+        for j, d_j in ((1, directional.d1), (2, directional.d2)):
+            for w in samples:
+                value, slack = axis_value(system, w, j)
+                if slack >= 0.0:
+                    assert d_j is not None and value <= d_j + 1e-12
+        assert dimH == max(d for d in (directional.d1, directional.d2)
+                           if d is not None)
+
+
+def test_axis_maximum_inside_when_the_boundary_also_rises():
+    # the axis-1 slice value peaks near theta = 0.2, dips, then rises again
+    # towards the boundary theta = 1: psi(1) > 0 alone must not pick it
+    system = validate([([37, 200], [4, 5], 0, 0),
+                       ([37, 200], [7, 50], 0, [41, 50]),
+                       ([7, 10], [1, 120], [1, 5], [24, 25])])
+    problem = _AxisProblem(system, 1)
+    value, w, diag = problem.maximise()
+    _, psi_at_one, (boundary_value, _, _) = problem.slice(1.0)
+    assert diag["boundary"] is False
+    assert psi_at_one > 0.0 and value > boundary_value + 0.1
+    assert axis_value(system, w)[0] == pytest.approx(value, abs=1e-12)
+    rng = np.random.default_rng(5)
+    for sample in rng.dirichlet(np.full(3, 0.5), 2000):
+        sample_value, slack = axis_value(system, sample)
+        assert slack < 0.0 or sample_value <= value + 1e-12
+
+
+def test_baranski_branches_on_exceptional_zero():
+    system = build_exceptional(0)
+    d1, _, boundary = _AxisProblem(system, 1).maximise()
+    d2, _, interior = _AxisProblem(system, 2).maximise()
+    assert boundary["boundary"] is True
+    assert interior["boundary"] is False
+    # the boundary maximiser is uniform inside the two groups, with the
+    # group split p0 that makes chi_1 = chi_2 = log 4
+    p0 = EXC0_P0
+    h = -(p0 * math.log(p0) + (1 - p0) * math.log(1 - p0))
+    closed = (h + (1 - p0) * math.log(4) + p0 * math.log(8)) / math.log(4)
+    assert d1 == pytest.approx(closed, abs=1e-14)
+    assert d2 == pytest.approx(EXC0_D2, abs=1e-9)
+    for diag in (boundary, interior):
+        assert diag["stationarity_residual"] <= 1e-12
 
 
 def test_gl_dims_needs_gl_class():

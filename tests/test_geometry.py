@@ -97,6 +97,15 @@ def test_rect_and_cloud_validation():
 
 # ----------------------------------------------------------------- sections
 
+def test_point_at_is_exact_for_ratios_near_one():
+    from carpetdim.geometry import _point_at
+    system = validate([([99, 100], [1, 3], [1, 100], 0),
+                       ([99, 100], [1, 3], [1, 100], [2, 3])])
+    assert _point_at(system, word((), (0,))) == (1.0, 0.0)
+    assert _point_at(system, word((1,), (0,))) == (1.0, 2 / 3)
+    assert _point_at(system, word((), (0, 1))) == (1.0, 0.25)
+
+
 def test_cylinders_to_scale_uniform_counts():
     system = gl3()
     rows = cylinders_to_scale(system, 0.25 ** 3, 2)
