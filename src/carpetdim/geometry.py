@@ -5,10 +5,15 @@ axis until the sides balance), pseudo-cylinder square counts, ball-localized
 box counting, a packing-sum falsification harness, Hausdorff distances
 between finite clouds, tangent-set approximations, and two one-dimensional
 fixtures.  All counting is symbolic over words; nothing is rasterized.
+
+Every cover comes from one engine, ``_refine``, which refines numpy blocks
+of cylinder rectangles until a stop rule holds; each caller supplies only
+its maps per level, its stop and pruning rules and what it does with a leaf.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,10 +24,11 @@ from scipy.spatial import cKDTree
 
 from .errors import (EmptyInput, InvalidPacking, RangeError, Unsupported,
                      WrongClass, WrongShape)
-from .systems import (BARANSKI, GATZOURAS_LALLEY, EventuallyPeriodicWord,
-                      column_word)
+from .systems import (BARANSKI, GATZOURAS_LALLEY, DiagonalMap,
+                      EventuallyPeriodicWord, column_word)
 
 _EPS = 1e-12
+_CHUNK = 4096       # most child rows _refine makes at once; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -98,21 +104,23 @@ class PointCloud:
 
 # ------------------------------------------------------------ word geometry
 
-def _float_maps(system):
-    return [(float(m.r1), float(m.r2), float(m.d1), float(m.d2))
-            for m in system.maps]
+def _compose(maps, one=1.0):
+    """(x0, y0, w, h) of the composition of ``maps``, outermost first: the
+    rectangle of their cylinder.  ``one`` picks the arithmetic, 1.0 for
+    floats or Fraction(1) for exact rationals.
+    """
+    x = y = 0 * one
+    w = h = one
+    for m in maps:
+        x += w * m.d1
+        y += h * m.d2
+        w *= m.r1
+        h *= m.r2
+    return x, y, w, h
 
 
 def _cylinder_rect(system, word) -> Rect:
-    x0 = y0 = 0.0
-    w = h = 1.0
-    for i in word:
-        m = system.maps[i]
-        x0 += w * float(m.d1)
-        y0 += h * float(m.d2)
-        w *= float(m.r1)
-        h *= float(m.r2)
-    return Rect(x0, y0, w, h)
+    return Rect(*_compose(system.maps[i] for i in word))
 
 
 def _point_at(system, gamma: EventuallyPeriodicWord):
@@ -124,22 +132,99 @@ def _point_at(system, gamma: EventuallyPeriodicWord):
     """
     gamma.check_alphabet(system)
     one = Fraction(1) if system.exact else 1.0
-
-    def compose(word):
-        x = y = 0 * one
-        w = h = one
-        for i in word:
-            m = system.maps[i]
-            x += w * m.d1
-            y += h * m.d2
-            w *= m.r1
-            h *= m.r2
-        return x, y, w, h
-
-    px, py, pw, ph = compose(gamma.period)
-    x, y, w, h = compose(gamma.preperiod)
+    px, py, pw, ph = _compose((system.maps[i] for i in gamma.period), one)
+    x, y, w, h = _compose((system.maps[i] for i in gamma.preperiod), one)
     return (float(x + w * px / (one - pw)),
             float(y + h * py / (one - ph)))
+
+
+# ------------------------------------------------------- refinement engine
+
+def _refine(root, children, done, keep=None):
+    """Refine blocks of cylinder rectangles and yield the leaf blocks.
+
+    A block is a tuple of equal-length arrays (x0, y0, w, h) of rectangles
+    at one depth, optionally followed by an (N, depth) int array of their
+    words.  ``children`` holds the (r1, r2, d1, d2) arrays of the maps that
+    refine a rectangle, or is a function of the depth that returns them; a
+    child's letter is its map's position there.  ``keep(x0, y0, w, h,
+    depth)`` masks the rows to keep, then ``done(x0, y0, w, h, depth)``
+    marks the leaves (a mask or one bool).  Children are laid out
+    parent-major and blocks are refined depth-first, at most _CHUNK child
+    rows at a time, so the leaves of a fixed depth come out in word order.
+    """
+    block, depth = tuple(root), 0
+    stack = []
+    while True:
+        if keep is not None:
+            block = _rows(block, keep(*block[:4], depth))
+        leaf = np.broadcast_to(done(*block[:4], depth), block[0].shape)
+        if leaf.any():
+            yield _rows(block, leaf)
+        rest = _rows(block, ~leaf)
+        if rest[0].size:
+            maps = children(depth) if callable(children) else children
+            step = max(1, _CHUNK // maps[0].size)
+            stack.extend((_rows(rest, slice(i, i + step)), depth, maps)
+                         for i in reversed(range(0, rest[0].size, step)))
+        if not stack:
+            return
+        parents, depth, (r1, r2, d1, d2) = stack.pop()
+        n, k = parents[0].size, r1.size
+        x0, y0, w, h = (np.repeat(a, k) for a in parents[:4])
+        r1, r2, d1, d2 = (np.tile(a, n) for a in (r1, r2, d1, d2))
+        block = (x0 + w * d1, y0 + h * d2, w * r1, h * r2)
+        if len(parents) > 4:
+            block += (np.column_stack((np.repeat(parents[4], k, axis=0),
+                                       np.tile(np.arange(k), n))),)
+        depth += 1
+
+
+def _rows(block, index):
+    return tuple(a[index] for a in block)
+
+
+def _root(x0=0.0, y0=0.0, w=1.0, h=1.0):
+    """A one-row block, the unit square unless told otherwise."""
+    return tuple(np.array([v], dtype=float) for v in (x0, y0, w, h))
+
+
+def _steps(rows):
+    """_refine children from rows (r1, r2, d1, d2); a one-dimensional
+    refinement passes (ratio, 1, offset, 0), leaving the second axis."""
+    return tuple(np.array(col, dtype=float) for col in zip(*rows))
+
+
+def _map_steps(maps):
+    return _steps((m.r1, m.r2, m.d1, m.d2) for m in maps)
+
+
+def _near(cx, cy, R):
+    """keep rule: rectangles within the closed distance R of (cx, cy)."""
+    rr = R * R * (1.0 + 1e-12)
+
+    def keep(x0, y0, w, h, depth):
+        dx = np.maximum(np.maximum(x0 - cx, 0.0), cx - (x0 + w))
+        dy = np.maximum(np.maximum(y0 - cy, 0.0), cy - (y0 + h))
+        return dx * dx + dy * dy <= rr
+    return keep
+
+
+def _cell_keys(ix, iy, span):
+    """A sortable key per grid cell (whole-number float indices, iy < span):
+    an int64 code while it fits, else the exact complex ix + i*iy."""
+    if span < 2 ** 31:
+        return ix.astype(np.int64) * span + iy.astype(np.int64)
+    return ix + 1j * iy
+
+
+def _distinct(keys):
+    """The sorted distinct keys.  On these arrays a sort is several times
+    faster than the hash table behind np.unique."""
+    keys = np.sort(keys)
+    first = np.ones(keys.shape, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def cylinders_to_scale(system, r, axis):
@@ -154,22 +239,15 @@ def cylinders_to_scale(system, r, axis):
         raise RangeError("scale %r outside (0, 1)" % (r,))
     if axis not in (0, 1, 2):
         raise RangeError("axis must be 0, 1 or 2")
-    maps = _float_maps(system)
-
-    def value(w, h):
-        return w if axis == 1 else h if axis == 2 else max(w, h)
-
+    maps = _map_steps(system.maps)
+    side = {1: lambda w, h: w, 2: lambda w, h: h}.get(axis, np.maximum)
+    root = _root() + (np.zeros((1, 0), dtype=np.int64),)
     out = []
-    stack = [((), 0.0, 0.0, 1.0, 1.0)]
-    while stack:
-        word, x0, y0, w, h = stack.pop()
-        for i, (r1, r2, d1, d2) in enumerate(maps):
-            cw, ch = w * r1, h * r2
-            child = (word + (i,), x0 + w * d1, y0 + h * d2, cw, ch)
-            if value(cw, ch) <= r:
-                out.append((child[0], Rect(child[1], child[2], cw, ch)))
-            else:
-                stack.append(child)
+    for x0, y0, w, h, words in _refine(
+            root, maps, lambda x0, y0, w, h, n: side(w, h) <= r):
+        out.extend((tuple(word), Rect(*rect)) for word, *rect in
+                   zip(words.tolist(), x0.tolist(), y0.tolist(), w.tolist(),
+                       h.tolist()))
     out.sort(key=lambda pair: pair[0])
     return out
 
@@ -187,55 +265,36 @@ def approximate_square(system, gamma: EventuallyPeriodicWord,
     if k < 1:
         raise RangeError("k must be >= 1")
     base = gamma.prefix(k)
-    w = math.prod(float(system.maps[i].r1) for i in base)
-    h = math.prod(float(system.maps[i].r2) for i in base)
+    _, _, w, h = _compose(system.maps[i] for i in base)
     axis = 1 if w >= h * (1.0 - _EPS) else 2
     limit = h if axis == 1 else w
     grow = w if axis == 1 else h
     letters = []
-    pos = k
-    while True:
+    for pos in itertools.count(k):
         nxt = gamma.letter(pos)
         ratio = float(system.maps[nxt].ratio(axis))
         if grow * ratio < limit * (1.0 - _EPS):
             break
         grow *= ratio
         letters.append(nxt)
-        pos += 1
     extension = column_word(system, letters, axis=axis)
-    rect = _cylinder_rect(system, base)
-    x0, y0 = rect.x0, rect.y0
-    if axis == 1:
-        width = rect.width
-        for cid in extension:
-            c = system.columns[cid]
-            x0 += width * float(c.offset)
-            width *= float(c.ratio)
-        rect = Rect(x0, y0, width, rect.height)
-    else:
-        height = rect.height
-        for cid in extension:
-            c = system.rows[cid]
-            y0 += height * float(c.offset)
-            height *= float(c.ratio)
-        rect = Rect(x0, y0, rect.width, height)
+    # the extension classes act as maps on their own axis only
+    classes = [system.classes(axis)[cid] for cid in extension]
+    ext = [DiagonalMap(c.ratio, 1, c.offset, 0) if axis == 1 else
+           DiagonalMap(1, c.ratio, 0, c.offset) for c in classes]
+    rect = Rect(*_compose([system.maps[i] for i in base] + ext))
     return ApproxSquare(base=base, extension=extension, rect=rect,
                         width=rect.width, height=rect.height, axis=axis)
 
 
 # ------------------------------------------------------ pseudo-cylinders
 
-def _threshold_leaves(start, limit, ratios):
+def _threshold_leaves(start, limit, classes):
     """Number of extension branches whose product first drops <= limit."""
-    count = 0
-    stack = [start]
-    while stack:
-        value = stack.pop()
-        if value <= limit * (1.0 + _EPS):
-            count += 1
-        else:
-            stack.extend(value * rho for rho in ratios)
-    return count
+    ext = _steps((c.ratio, 1, 0, 0) for c in classes)
+    bound = limit * (1.0 + _EPS)
+    leaves = _refine(_root(w=start), ext, lambda x0, y0, w, h, n: w <= bound)
+    return sum(block[0].size for block in leaves)
 
 
 def _pseudo_sides(system, i, uj, axis):
@@ -266,8 +325,7 @@ def pseudo_cylinder_count(system, i, uj) -> int:
     if width < height * (1.0 - _EPS):
         raise WrongShape("pseudo-cylinder is tall (width %g < height %g); "
                          "use the axis-aware counter" % (width, height))
-    ratios = [float(c.ratio) for c in system.columns]
-    return _threshold_leaves(width, height, ratios)
+    return _threshold_leaves(width, height, system.columns)
 
 
 def bar_pseudo_count(system, i, uj, axis=2) -> int:
@@ -284,19 +342,12 @@ def bar_pseudo_count(system, i, uj, axis=2) -> int:
     if axis not in (1, 2):
         raise RangeError("axis must be 1 or 2")
     along, across = _pseudo_sides(system, i, uj, axis)
-    ratios = [float(c.ratio) for c in system.classes(axis)]
     if along <= across * (1.0 + _EPS):
         return 1
-    return _threshold_leaves(along, across, ratios)
+    return _threshold_leaves(along, across, system.classes(axis))
 
 
 # ------------------------------------------------------ empirical counting
-
-def _ball_gap(cx, cy, x0, y0, w, h):
-    dx = max(x0 - cx, 0.0, cx - (x0 + w))
-    dy = max(y0 - cy, 0.0, cy - (y0 + h))
-    return dx * dx + dy * dy
-
 
 def box_count_ball(system, gamma: EventuallyPeriodicWord, R, r) -> int:
     """Number of scale-r approximate squares meeting the closed ball
@@ -310,31 +361,13 @@ def box_count_ball(system, gamma: EventuallyPeriodicWord, R, r) -> int:
     r = float(r)
     if not 0.0 < r <= R < 1.0:
         raise RangeError("need 0 < r <= R < 1, got r=%g R=%g" % (r, R))
-    cx, cy = _point_at(system, gamma)
-    maps = _float_maps(system)
-    cols = [(float(c.ratio), float(c.offset)) for c in system.columns]
-    rr = R * R * (1.0 + 1e-12)
-    count = 0
-    stack = [(0.0, 0.0, 1.0, 1.0)]
-    while stack:
-        x0, y0, w, h = stack.pop()
-        if _ball_gap(cx, cy, x0, y0, w, h) > rr:
-            continue
-        if h <= r:
-            ext = [(x0, w)]
-            while ext:
-                ex, ew = ext.pop()
-                if _ball_gap(cx, cy, ex, y0, ew, h) > rr:
-                    continue
-                if ew <= h * (1.0 + _EPS):
-                    count += 1
-                else:
-                    ext.extend((ex + ew * off, ew * rho)
-                               for rho, off in cols)
-        else:
-            stack.extend((x0 + w * d1, y0 + h * d2, w * r1, h * r2)
-                         for r1, r2, d1, d2 in maps)
-    return count
+    near = _near(*_point_at(system, gamma), R)
+    maps = _map_steps(system.maps)
+    cols = _steps((c.ratio, 1, c.offset, 0) for c in system.columns)
+    bases = _refine(_root(), maps, lambda x0, y0, w, h, n: h <= r, near)
+    return sum(block[0].size for base in bases
+               for block in _refine(base, cols, lambda x0, y0, w, h, n:
+                                    w <= h * (1.0 + _EPS), near))
 
 
 def _ball_grid_count(system, gamma, R, s):
@@ -344,21 +377,16 @@ def _ball_grid_count(system, gamma, R, s):
     under the rectangle centre is marked; that keeps the count free of the
     cylinder-side snapping that inflates the symbolic square cover.
     """
-    cx, cy = _point_at(system, gamma)
-    maps = _float_maps(system)
-    rr = R * R * (1.0 + 1e-12)
-    cells = set()
-    stack = [(0.0, 0.0, 1.0, 1.0)]
-    while stack:
-        x0, y0, w, h = stack.pop()
-        if _ball_gap(cx, cy, x0, y0, w, h) > rr:
-            continue
-        if w <= s and h <= s:
-            cells.add((int((x0 + 0.5 * w) / s), int((y0 + 0.5 * h) / s)))
-            continue
-        stack.extend((x0 + w * d1, y0 + h * d2, w * r1, h * r2)
-                     for r1, r2, d1, d2 in maps)
-    return len(cells)
+    maps = _map_steps(system.maps)
+    span = int(1.0 / s) + 2
+    cells = [np.empty(0, dtype=np.int64)]
+    for x0, y0, w, h in _refine(_root(), maps,
+                                lambda x0, y0, w, h, n: (w <= s) & (h <= s),
+                                _near(*_point_at(system, gamma), R)):
+        cells.append(_distinct(_cell_keys(np.trunc((x0 + 0.5 * w) / s),
+                                          np.trunc((y0 + 0.5 * h) / s),
+                                          span)))
+    return int(_distinct(np.concatenate(cells)).size)
 
 
 def psi_estimate(system, delta, samples=16, seed=0, words=None,
@@ -375,6 +403,8 @@ def psi_estimate(system, delta, samples=16, seed=0, words=None,
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise RangeError("delta %r outside (0, 1)" % (delta,))
+    if not all(radius > 0.0 for radius in radii):
+        raise RangeError("radii must be positive, got %r" % (tuple(radii),))
     if words is None:
         rng = np.random.default_rng(seed)
         n = len(system.maps)
@@ -396,25 +426,22 @@ def psi_estimate(system, delta, samples=16, seed=0, words=None,
 
 def _grid_count(system, s):
     """Number of side-s grid cells touched by the cylinder cover at scale s."""
-    maps = _float_maps(system)
-    cells = set()
+    maps = _map_steps(system.maps)
     inv = 1.0 / s
     top = int(math.ceil(inv)) - 1
-    stack = [(0.0, 0.0, 1.0, 1.0)]
-    while stack:
-        x0, y0, w, h = stack.pop()
-        if w <= s and h <= s:
-            ax = min(int(x0 * inv), top)
-            bx = min(int((x0 + w) * inv), top)
-            ay = min(int(y0 * inv), top)
-            by = min(int((y0 + h) * inv), top)
-            for ix in range(ax, bx + 1):
-                for iy in range(ay, by + 1):
-                    cells.add((ix, iy))
-        else:
-            stack.extend((x0 + w * d1, y0 + h * d2, w * r1, h * r2)
-                         for r1, r2, d1, d2 in maps)
-    return len(cells)
+    cells = [np.empty(0, dtype=np.int64)]
+    for x0, y0, w, h in _refine(_root(), maps,
+                                lambda x0, y0, w, h, n: (w <= s) & (h <= s)):
+        ax, bx, ay, by = (np.minimum(np.trunc(v * inv), top)
+                          for v in (x0, x0 + w, y0, y0 + h))
+        # every cell from (ax, ay) to (bx, by), one offset at a time
+        keys = []
+        for dx in range(int((bx - ax).max()) + 1):
+            for dy in range(int((by - ay).max()) + 1):
+                hit = (ax + dx <= bx) & (ay + dy <= by)
+                keys.append(_cell_keys(ax[hit] + dx, ay[hit] + dy, top + 1))
+        cells.append(_distinct(np.concatenate(keys)))
+    return int(_distinct(np.concatenate(cells)).size)
 
 
 @lru_cache(maxsize=16)
@@ -467,15 +494,14 @@ def _packing_constant(system):
     packing sum over a fixed family of cylinder packings at the exponent
     dimA + 0.01, padded by 5 percent."""
     alpha = _system_assouad(system) + 0.01
+    maps = _map_steps(system.maps)
     worst = 1.0
     for depth in (1, 2, 3):
-        words = [()]
-        for _ in range(depth):
-            words = [w + (i,) for w in words for i in range(len(system.maps))]
         total = 0.0
-        for word in words:
-            rect = _cylinder_rect(system, word)
-            total += (0.49 * min(rect.width, rect.height)) ** alpha
+        for _, _, w, h in _refine(_root(), maps,
+                                  lambda x0, y0, w, h, n: n == depth):
+            for side in np.minimum(w, h).tolist():
+                total += (0.49 * side) ** alpha
         worst = max(worst, total)
     return 1.05 * worst
 
@@ -536,22 +562,22 @@ def attractor_cloud(system, resolution) -> PointCloud:
     return PointCloud(tuple(pts), resolution)
 
 
+def _line_cloud(children, resolution) -> PointCloud:
+    """1-D cloud of the centres of first-axis intervals at the resolution."""
+    pts = []
+    for x0, _, w, _ in _refine(_root(), children,
+                               lambda x0, y0, w, h, n: w <= resolution):
+        pts.extend(zip((x0 + 0.5 * w).tolist()))
+    return PointCloud(tuple(sorted(pts)), resolution)
+
+
 def projection_cloud(system, axis, resolution) -> PointCloud:
     """1-D cloud of the projected attractor on the given axis."""
     if resolution <= 0.0 or resolution >= 1.0:
         raise RangeError("resolution must lie in (0, 1)")
-    classes = [(float(c.ratio), float(c.offset))
-               for c in system.classes(axis)]
-    pts = []
-    stack = [(0.0, 1.0)]
-    while stack:
-        x0, w = stack.pop()
-        if w <= resolution:
-            pts.append((x0 + 0.5 * w,))
-        else:
-            stack.extend((x0 + w * off, w * rho) for rho, off in classes)
-    pts.sort()
-    return PointCloud(tuple(pts), resolution)
+    classes = _steps((c.ratio, 1, c.offset, 0)
+                     for c in system.classes(axis))
+    return _line_cloud(classes, resolution)
 
 
 def slice_cloud(system, gamma: EventuallyPeriodicWord, offset, axis,
@@ -565,22 +591,12 @@ def slice_cloud(system, gamma: EventuallyPeriodicWord, offset, axis,
         raise RangeError("resolution must lie in (0, 1)")
     gamma.check_alphabet(system)
     lookup = system.class_index(axis)
-    classes = system.classes(axis)
     other = 2 if axis == 1 else 1
-    pts = []
-    stack = [(0.0, 1.0, 0)]
-    while stack:
-        y0, hh, n = stack.pop()
-        if hh <= resolution:
-            pts.append((y0 + 0.5 * hh,))
-            continue
-        members = classes[lookup[gamma.letter(offset + n)]].members
-        for m in members:
-            mp = system.maps[m]
-            stack.append((y0 + hh * float(mp.offset(other)),
-                          hh * float(mp.ratio(other)), n + 1))
-    pts.sort()
-    return PointCloud(tuple(pts), resolution)
+    fibres = [_steps((system.maps[m].ratio(other), 1,
+                      system.maps[m].offset(other), 0) for m in c.members)
+              for c in system.classes(axis)]
+    return _line_cloud(lambda n: fibres[lookup[gamma.letter(offset + n)]],
+                       resolution)
 
 
 def tangent_cloud(system, gamma: EventuallyPeriodicWord, k,
@@ -599,39 +615,25 @@ def tangent_cloud(system, gamma: EventuallyPeriodicWord, k,
     if resolution <= 0.0 or resolution >= 1.0:
         raise RangeError("resolution must lie in (0, 1)")
     square = approximate_square(system, gamma, k)
-    base_rect = square.rect
-    maps = _float_maps(system)
-    cols = [(float(c.ratio), float(c.offset)) for c in system.columns]
-    lookup = system.class_index(1)
+    box = square.rect
+    maps = _map_steps(system.maps)
+    cols = _steps((c.ratio, 1, c.offset, 0) for c in system.columns)
+    # the first levels keep to the maps in the extension's column classes
+    ext = [_map_steps(system.maps[m] for m in system.columns[cid].members)
+           for cid in square.extension]
+    wlim = resolution * box.width
+    hlim = resolution * box.height
     pts = []
-    # nodes carry absolute rects plus how many extension classes remain
-    start = _cylinder_rect(system, square.base)
-    stack = [(start.x0, start.y0, start.width, start.height, 0)]
-    wlim = resolution * base_rect.width
-    hlim = resolution * base_rect.height
-    while stack:
-        x0, y0, w, h, used = stack.pop()
-        if used < len(square.extension):
-            cid = square.extension[used]
-            stack.extend((x0 + w * d1, y0 + h * d2, w * r1, h * r2, used + 1)
-                         for m, (r1, r2, d1, d2) in enumerate(maps)
-                         if lookup[m] == cid)
-            continue
-        if h > hlim:
-            stack.extend((x0 + w * d1, y0 + h * d2, w * r1, h * r2, used + 1)
-                         for r1, r2, d1, d2 in maps)
-            continue
+    start = _root(*_compose(system.maps[i] for i in square.base))
+    for block in _refine(start, lambda n: ext[n] if n < len(ext) else maps,
+                         lambda x0, y0, w, h, n:
+                         (n >= len(ext)) & (h <= hlim)):
         # the height is resolved: only x still needs refining, so descend
-        # through projected columns and keep the y center fixed
-        ynorm = (y0 + 0.5 * h - base_rect.y0) / base_rect.height
-        xs = [(x0, w)]
-        while xs:
-            ex, ew = xs.pop()
-            if ew <= wlim:
-                pts.append(((ex + 0.5 * ew - base_rect.x0)
-                            / base_rect.width, ynorm))
-            else:
-                xs.extend((ex + ew * off, ew * rho) for rho, off in cols)
+        # through projected columns, which keep y0 and h
+        for x0, y0, w, h in _refine(block, cols,
+                                    lambda x0, y0, w, h, n: w <= wlim):
+            pts.extend(zip(((x0 + 0.5 * w - box.x0) / box.width).tolist(),
+                           ((y0 + 0.5 * h - box.y0) / box.height).tolist()))
     return PointCloud(tuple(sorted(pts)), resolution)
 
 
@@ -674,23 +676,16 @@ def render_svg(system, depth, path):
     """
     if depth < 0:
         raise RangeError("depth must be >= 0")
-    rects = [Rect(0.0, 0.0, 1.0, 1.0)]
-    maps = _float_maps(system)
-    for _ in range(depth):
-        nxt = []
-        for rect in rects:
-            nxt.extend(Rect(rect.x0 + rect.width * d1,
-                            rect.y0 + rect.height * d2,
-                            rect.width * r1, rect.height * r2)
-                       for r1, r2, d1, d2 in maps)
-        rects = nxt
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
-             '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">']
-    for rect in rects:
-        lines.append('  <rect x="%.4f" y="%.4f" width="%.4f" height="%.4f"'
-                     ' fill="none" stroke="black" stroke-width="0.002"/>'
-                     % (rect.x0, 1.0 - rect.y1, rect.width, rect.height))
-    lines.append('</svg>')
+    maps = _map_steps(system.maps)
+    rects = [rect for block in _refine(_root(), maps,
+                                       lambda x0, y0, w, h, n: n == depth)
+             for rect in zip(*(a.tolist() for a in block))]
+    lines = (['<?xml version="1.0" encoding="UTF-8"?>',
+              '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">']
+             + ['  <rect x="%.4f" y="%.4f" width="%.4f" height="%.4f"'
+                ' fill="none" stroke="black" stroke-width="0.002"/>'
+                % (x0, 1.0 - (y0 + h), w, h) for x0, y0, w, h in rects]
+             + ['</svg>'])
     data = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(data)

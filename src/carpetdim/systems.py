@@ -348,17 +348,6 @@ def column_word(system: CarpetSystem, word, axis: int = 1) -> tuple:
         raise IndexError("letter outside alphabet: %r" % (exc.args[0],)) from exc
 
 
-def letter_frequencies(system: CarpetSystem, gamma: EventuallyPeriodicWord):
-    """Frequency vector of the period letters (the limit of the running
-    letter frequencies of gamma)."""
-    gamma.check_alphabet(system)
-    freq = [0.0] * len(system.maps)
-    for i in gamma.period:
-        freq[i] += 1.0
-    n = len(gamma.period)
-    return tuple(f / n for f in freq)
-
-
 def classify_word(system: CarpetSystem, gamma: EventuallyPeriodicWord):
     """Asymptotic Lyapunov ratio class of gamma.
 
@@ -367,11 +356,13 @@ def classify_word(system: CarpetSystem, gamma: EventuallyPeriodicWord):
     < 1 (contraction is asymptotically faster in the vertical), "Omega2"
     when > 1, and "Omega0" on a tie within 1e-12.
     """
-    q = letter_frequencies(system, gamma)
-    chi1 = -math.fsum(q[i] * math.log(float(system.maps[i].r1))
-                      for i in range(len(q)) if q[i] > 0)
-    chi2 = -math.fsum(q[i] * math.log(float(system.maps[i].r2))
-                      for i in range(len(q)) if q[i] > 0)
+    gamma.check_alphabet(system)
+    n = len(gamma.period)
+    q = {i: gamma.period.count(i) / n for i in set(gamma.period)}
+    chi1 = -math.fsum(f * math.log(float(system.maps[i].r1))
+                      for i, f in q.items())
+    chi2 = -math.fsum(f * math.log(float(system.maps[i].r2))
+                      for i, f in q.items())
     gamma_inf = chi1 / chi2
     if abs(gamma_inf - 1.0) <= _TOL:
         return "Omega0", gamma_inf

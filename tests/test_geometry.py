@@ -314,6 +314,13 @@ def test_psi_estimate_rejects_bad_delta():
             psi_estimate(gl3(), delta)
 
 
+def test_psi_estimate_rejects_nonpositive_radii():
+    # a negative radius used to refine forever, a zero one to divide by zero
+    for radii in ((-0.25,), (0.0,), (0.25, 0.0)):
+        with pytest.raises(RangeError):
+            psi_estimate(gl3(), 0.5, radii=radii)
+
+
 # ------------------------------------------------------------------- packings
 
 def test_packing_check_accepts_small_disc():
