@@ -15,8 +15,8 @@ from .geometry import (ApproxSquare, PointCloud, Rect, approximate_square,
                        pseudo_cylinder_count, psi_estimate, render_svg,
                        scale_count_table, slice_cloud, tangent_cloud,
                        write_scale_counts_csv)
-from .moran import (ColumnSequence, nonauto_assouad, nonauto_bounds,
-                    solve_moran, theta_window, window_sup)
+from .moran import (ColumnSequence, nonauto_assouad, solve_moran,
+                    theta_window, window_sup)
 from .pointwise import (PointwiseReport, baranski_level_profile,
                         build_exceptional, few_large_tangents, level_set_dim,
                         pointwise_assouad_baranski, pointwise_assouad_gl,

@@ -30,6 +30,7 @@ import hashlib
 import json
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -164,33 +165,14 @@ def _cmd_dims(system, args):
     warnings = []
     if system.klass == GATZOURAS_LALLEY:
         report = gl_dims(system)
-        results = {
-            "klass": system.klass,
-            "dim_proj_box_1": report.dim_proj_box_1,
-            "dim_proj_box_2": report.dim_proj_box_2,
-            "dimB": report.dimB,
-            "dimH": report.dimH,
-            "dimA": report.dimA,
-            "dimL": report.dimL,
-            "hausdorff_argmax": [float(x) for x in report.argmax_p],
-        }
+        results = dict(asdict(report), klass=system.klass,
+                       hausdorff_argmax=list(report.argmax_p))
+        del results["argmax_p"], results["diagnostics"]
         extra = {"optimizer": report.diagnostics}
     elif system.klass == BARANSKI:
         directional, dim_h, dim_a = baranski_dims(system)
-        results = {
-            "klass": system.klass,
-            "d1": directional.d1,
-            "d2": directional.d2,
-            "dimB_eta1": directional.dimB_eta1,
-            "dimB_eta2": directional.dimB_eta2,
-            "t1": directional.t1,
-            "t2": directional.t2,
-            "A1": directional.A1,
-            "A2": directional.A2,
-            "dimB": None,
-            "dimH": dim_h,
-            "dimA": dim_a,
-        }
+        results = dict(asdict(directional), klass=system.klass, dimB=None,
+                       dimH=dim_h, dimA=dim_a)
         warnings.append("no closed form for the Baranski box dimension; "
                         "run 'estimate' for an empirical value")
         try:
@@ -214,18 +196,7 @@ def _cmd_pointwise(system, args):
     else:
         raise WrongClass("pointwise needs a GatzourasLalley or Baranski "
                          "system, got %s" % system.klass)
-    results = {
-        "gamma": args.gamma.strip(),
-        "fiber_dim": report.fiber_dim,
-        "tangent_dim": report.tangent_dim,
-        "pointwise_assouad": report.pointwise_assouad,
-        "axis": report.axis,
-        "omega_class": report.omega_class,
-        "regularity_warning": report.regularity_warning,
-        "dimB_estimate": report.dimB_estimate,
-        "dimB_band": (list(report.dimB_band)
-                      if report.dimB_band is not None else None),
-    }
+    results = dict(asdict(report), gamma=args.gamma.strip())
     if args.axis is not None:
         slice_seq = symbolic_slice(system, gamma, axis=args.axis)
         results["requested_axis"] = {

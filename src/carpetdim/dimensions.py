@@ -35,19 +35,24 @@ interior maxima are roots of psi, where kappa is the Dinkelbach ratio of
 the conditional part and q_l ~ a_l^D Z_l(kappa)^theta with D = H(q)/chi_j,
 and theta = 1 is the boundary.  A root that misses its tolerance within a
 fixed cap raises OptimizerFailure.
+
+The Analysis at ``system.analysis`` computes each of these numbers once, on
+first use; gl_dims, baranski_dims and the pointwise layer read its fields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import OptimizerFailure, RangeError, WrongClass, WrongShape
 from .moran import solve_moran
-from .systems import (BARANSKI, DIAGONAL_ONLY, GATZOURAS_LALLEY,
-                      CarpetSystem, ProbabilityVector)
+from .systems import (BARANSKI, GATZOURAS_LALLEY, CarpetSystem,
+                      ProbabilityVector)
 
 _TOL = 1e-15          # relative step at which Newton and regula falsi stop
 _DECREMENT = 1e-28    # Newton decrement in kappa below rounding of Phi
@@ -226,9 +231,9 @@ class _AxisProblem:
         return point
 
     def _result(self, theta, psi, state):
-        """(s, w, diagnostics); the residual is the sup norm of the axis
-        value's gradient in softmax coordinates, projected off the
-        constraint chi_j = chi_j' on the boundary."""
+        """(s, w tuple, read-only diagnostics); the residual is the sup norm
+        of the axis value's gradient in softmax coordinates, projected off
+        the constraint chi_j = chi_j' on the boundary."""
         s, kappa, w = state
         boundary = theta == 1.0 and self.lo != self.hi
         log_a = self.log_a[self.cls]
@@ -243,42 +248,101 @@ class _AxisProblem:
             tangent -= (tangent @ normal) / (normal @ normal) * normal
         out = np.empty_like(w)
         out[self.order] = w
-        return s, out, {"iterations": self.iterations, "boundary": boundary,
-                        "theta": theta, "kappa": kappa, "psi": psi,
-                        "stationarity_residual": float(np.abs(tangent).max())}
+        return s, tuple(out.tolist()), MappingProxyType({
+            "iterations": self.iterations, "boundary": boundary,
+            "theta": theta, "kappa": kappa, "psi": psi,
+            "stationarity_residual": float(np.abs(tangent).max())})
 
 
-# ----------------------------------------------------------- GL closed form
+# ---------------------------------------------------- per-system analysis
 
-def _column_moran(system, axis):
-    return solve_moran([float(c.ratio) for c in system.classes(axis)])
+class AxisAnalysis:
+    """The quantities of axis j of a system, each computed on first use."""
+
+    def __init__(self, system, j):
+        self.system, self.j = system, j
+
+    @cached_property
+    def proj(self):
+        """(s_eta_j, |sum_l a_l^s_eta_j - 1|) over the axis-j classes."""
+        ratios = [float(c.ratio) for c in self.system.classes(self.j)]
+        s = solve_moran(ratios)
+        return s, abs(math.fsum(r ** s for r in ratios) - 1.0)
+
+    @cached_property
+    def fibers(self):
+        """Per axis class, the sorted orthogonal ratios of its members."""
+        maps = self.system.maps
+        return tuple(tuple(sorted(float(maps[i].ratio(3 - self.j))
+                                  for i in c.members))
+                     for c in self.system.classes(self.j))
+
+    @cached_property
+    def slice_exponents(self):
+        """t(l) per axis class: the Moran exponent of its fiber."""
+        return tuple(solve_moran(fiber) for fiber in self.fibers)
+
+    @cached_property
+    def directional(self):
+        """(s_eta_j, t_j = max_l t(l), A_j = s_eta_j + t_j), or three Nones
+        when the axis classes are not aligned."""
+        if not self.system.aligned(self.j):
+            return None, None, None
+        proj, t = self.proj[0], max(self.slice_exponents)
+        return proj, t, proj + t
+
+    @cached_property
+    def maximum(self):
+        """(d_j, argmax, diagnostics) of the Ledrappier-Young value over P_j,
+        or None when P_j has no interior."""
+        return _AxisProblem(self.system, self.j).maximise()
 
 
-def _solve_box_dimension(system, s_eta):
-    """Root of sum_i r1_i^{s_eta} r2_i^{s - s_eta} = 1 and its residual.  The
-    log of the sum is convex, decreasing in s and >= 0 at s_eta, so Newton
-    steps from s_eta climb to the root and shrink until rounding stops them."""
-    log_r1 = np.log([float(m.r1) for m in system.maps])
-    log_r2 = np.log([float(m.r2) for m in system.maps])
-    s, last = s_eta, math.inf
-    for _ in range(_MAX_STEPS):
-        terms = np.exp(s_eta * log_r1 + (s - s_eta) * log_r2)
-        total = float(terms.sum())
-        step = math.log(total) * total / -float(terms @ log_r2)
-        if abs(step) <= _TOL * max(1.0, s) or abs(step) >= last:
-            return s, abs(total - 1.0)
-        s, last = s + step, abs(step)
-    raise OptimizerFailure("box dimension root not reached")
+class Analysis:
+    """An AxisAnalysis per axis; dimB (with its residual) and dimL of a
+    GatzourasLalley carpet; dimA, A_1 there and max_j A_j if Baranski."""
+
+    def __init__(self, system):
+        self.system = system
+        self.axes = (AxisAnalysis(system, 1), AxisAnalysis(system, 2))
+
+    def _need(self, *classes):
+        if self.system.klass not in classes:
+            raise WrongClass("need %s, got %s"
+                             % (" or ".join(classes), self.system.klass))
+
+    @cached_property
+    def box(self):
+        """(dimB, residual): root of sum_i r1_i^{s_eta} r2_i^{s - s_eta} = 1
+        by Newton steps up from s_eta, where the convex decreasing log of the
+        sum is >= 0; the steps shrink until rounding stops them."""
+        self._need(GATZOURAS_LALLEY)
+        s_eta = self.axes[0].proj[0]
+        log_r1 = np.log([float(m.r1) for m in self.system.maps])
+        log_r2 = np.log([float(m.r2) for m in self.system.maps])
+        s, last = s_eta, math.inf
+        for _ in range(_MAX_STEPS):
+            terms = np.exp(s_eta * log_r1 + (s - s_eta) * log_r2)
+            total = float(terms.sum())
+            step = math.log(total) * total / -float(terms @ log_r2)
+            if abs(step) <= _TOL * max(1.0, s) or abs(step) >= last:
+                return s, abs(total - 1.0)
+            s, last = s + step, abs(step)
+        raise OptimizerFailure("box dimension root not reached")
+
+    @cached_property
+    def dimA(self):
+        self._need(BARANSKI, GATZOURAS_LALLEY)
+        axes = self.axes if self.system.klass == BARANSKI else self.axes[:1]
+        return max(axis.directional[2] for axis in axes)
+
+    @cached_property
+    def dimL(self):
+        self._need(GATZOURAS_LALLEY)
+        return self.axes[0].proj[0] + min(self.axes[0].slice_exponents)
 
 
-def _slice_exponents(system, axis):
-    """t(l) for each axis class: Moran exponent of the orthogonal ratios of
-    the class members."""
-    other = 2 if axis == 1 else 1
-    return [solve_moran([float(system.maps[i].ratio(other))
-                         for i in c.members])
-            for c in system.classes(axis)]
-
+# ------------------------------------------------ reports from the analysis
 
 def gl_hausdorff(system: CarpetSystem):
     """Hausdorff dimension of a GatzourasLalley carpet: maximize the axis-1
@@ -289,49 +353,37 @@ def gl_hausdorff(system: CarpetSystem):
 
 def gl_dims(system: CarpetSystem) -> DimensionReport:
     """Full dimension report for a GatzourasLalley carpet."""
-    if system.klass != GATZOURAS_LALLEY:
-        raise WrongClass("need GatzourasLalley, got %s" % system.klass)
-    s_eta = _column_moran(system, 1)
-    proj2 = _column_moran(system, 2) if system.aligned(2) else None
-    dimB, box_residual = _solve_box_dimension(system, s_eta)
-    t = _slice_exponents(system, 1)
-    dimA = s_eta + max(t)
-    dimL = s_eta + min(t)
-    dimH, w, opt_diag = _AxisProblem(system, 1).maximise()
-    argmax = ProbabilityVector(tuple(float(v) for v in w))
-    ratios = [float(c.ratio) for c in system.classes(1)]
-    proj_residual = abs(math.fsum(r ** s_eta for r in ratios) - 1.0)
-    diagnostics = {"proj_moran_residual": proj_residual,
-                   "dimB_residual": box_residual,
-                   "slice_exponents": t,
-                   "optimizer": opt_diag}
+    analysis = system.analysis
+    dimB, box_residual = analysis.box
+    first, second = analysis.axes
+    s_eta, proj_residual = first.proj
+    dimH, argmax, optimizer = first.maximum
     return DimensionReport(
-        dim_proj_box_1=s_eta, dim_proj_box_2=proj2, dimB=dimB, dimH=dimH,
-        dimA=dimA, dimL=dimL, argmax_p=argmax, diagnostics=diagnostics)
+        dim_proj_box_1=s_eta, dim_proj_box_2=second.directional[0],
+        dimB=dimB, dimH=dimH, dimA=analysis.dimA, dimL=analysis.dimL,
+        argmax_p=ProbabilityVector(argmax),
+        diagnostics={"proj_moran_residual": proj_residual,
+                     "dimB_residual": box_residual,
+                     "slice_exponents": list(first.slice_exponents),
+                     "optimizer": dict(optimizer)})
 
-
-# ------------------------------------------------------ Baranski directional
 
 def baranski_dims(system: CarpetSystem):
-    """(BaranskiDirectional, dimH, dimA) for a Baranski (or GL) system."""
+    """(BaranskiDirectional, dimH, dimA) for a Baranski (or GL) system.
+    Both classes have an aligned axis and an axis whose P_j has interior."""
     if system.klass not in (BARANSKI, GATZOURAS_LALLEY):
         raise WrongClass("need Baranski or GatzourasLalley, got %s"
                          % system.klass)
     fields = {}
-    for j in (1, 2):
-        aligned = system.aligned(j)
-        proj = _column_moran(system, j) if aligned else None
-        t_j = max(_slice_exponents(system, j)) if aligned else None
-        best = _AxisProblem(system, j).maximise()
-        fields.update({"d%d" % j: best[0] if best else None,
-                       "dimB_eta%d" % j: proj, "t%d" % j: t_j,
-                       "A%d" % j: proj + t_j if aligned else None})
-    directional = BaranskiDirectional(**fields)
+    for axis in system.analysis.axes:
+        best = axis.maximum
+        proj, t, total = axis.directional
+        fields.update({"d%d" % axis.j: best[0] if best else None,
+                       "dimB_eta%d" % axis.j: proj, "t%d" % axis.j: t,
+                       "A%d" % axis.j: total})
     d_values = [fields[k] for k in ("d1", "d2") if fields[k] is not None]
     a_values = [fields[k] for k in ("A1", "A2") if fields[k] is not None]
-    if not d_values or not a_values:
-        raise WrongClass("no axis supports the directional formulas")
-    return directional, max(d_values), max(a_values)
+    return BaranskiDirectional(**fields), max(d_values), max(a_values)
 
 
 # ---------------------------------------------------- two-group reduction

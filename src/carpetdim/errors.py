@@ -39,4 +39,4 @@ class InvalidPacking(CarpetError):
 
 
 class OptimizerFailure(CarpetError):
-    """The simplex ascent failed to converge within its restart budget."""
+    """A solver iteration missed its tolerance within its step cap."""

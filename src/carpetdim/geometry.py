@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (EmptyInput, InvalidPacking, RangeError, Unsupported,
-                     WrongClass, WrongShape)
+from .errors import (EmptyInput, InvalidPacking, RangeError, WrongClass,
+                     WrongShape)
 from .systems import (BARANSKI, GATZOURAS_LALLEY, DiagonalMap,
                       EventuallyPeriodicWord, column_word)
 
@@ -478,22 +478,12 @@ def scale_count_table(system, ks):
 
 # ------------------------------------------------------ packing harness
 
-def _system_assouad(system):
-    from .dimensions import baranski_dims, gl_dims
-    if system.klass == GATZOURAS_LALLEY:
-        return gl_dims(system).dimA
-    if system.klass == BARANSKI:
-        return baranski_dims(system)[2]
-    raise Unsupported("packing calibration needs a classified system, "
-                      "got %s" % system.klass)
-
-
 @lru_cache(maxsize=16)
 def _packing_constant(system):
     """Comparability constant calibrated once per system: the largest
     packing sum over a fixed family of cylinder packings at the exponent
     dimA + 0.01, padded by 5 percent."""
-    alpha = _system_assouad(system) + 0.01
+    alpha = system.analysis.dimA + 0.01
     maps = _map_steps(system.maps)
     worst = 1.0
     for depth in (1, 2, 3):

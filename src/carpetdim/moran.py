@@ -180,16 +180,3 @@ def window_sup(seq: ColumnSequence, m: int) -> float:
         best = max(best, theta_window(window))
     return best
 
-
-def nonauto_bounds(prefix) -> tuple[float, float]:
-    """Heuristic [min, max] envelope over completions of a finite prefix.
-
-    Only eventually periodic sequences admit an exact limit here; for a bare
-    finite prefix the tail decides everything, so this returns the exponents
-    of the two extreme constant tails built from the multisets actually seen.
-    """
-    sets = [tuple(w) for w in prefix]
-    if not sets:
-        raise EmptyInput("empty prefix")
-    singles = [theta_window([w]) for w in sets]
-    return min(singles), max(singles)

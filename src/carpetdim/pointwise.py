@@ -8,12 +8,12 @@ dimension exceeds the box dimension only on a small set of points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dimensions import (_column_moran, _solve_box_dimension, baranski_dims,
-                         gl_dims)
-from .errors import InvalidSystem, Unsupported, WrongClass
+from .dimensions import baranski_dims, gl_dims
+from .errors import InvalidSystem, RangeError, Unsupported, WrongClass
 from .moran import ColumnSequence, nonauto_assouad
 from .systems import (BARANSKI, GATZOURAS_LALLEY, CarpetSystem, DiagonalMap,
                       EventuallyPeriodicWord, classify_word, validate)
@@ -52,17 +52,11 @@ def symbolic_slice(system: CarpetSystem, gamma: EventuallyPeriodicWord,
     period of gamma carry over unchanged.
     """
     gamma.check_alphabet(system)
-    other = 2 if axis == 1 else 1
     lookup = system.class_index(axis)
-    classes = system.classes(axis)
-
-    def fiber(letter):
-        members = classes[lookup[letter]].members
-        return tuple(sorted(float(system.maps[i].ratio(other))
-                            for i in members))
-
-    return ColumnSequence(preperiod=tuple(fiber(i) for i in gamma.preperiod),
-                          period=tuple(fiber(i) for i in gamma.period))
+    fibers = system.analysis.axes[axis - 1].fibers
+    return ColumnSequence(
+        preperiod=tuple(fibers[lookup[i]] for i in gamma.preperiod),
+        period=tuple(fibers[lookup[i]] for i in gamma.period))
 
 
 def pointwise_assouad_gl(system: CarpetSystem,
@@ -81,12 +75,10 @@ def pointwise_assouad_gl(system: CarpetSystem,
                          % system.klass)
     omega, _ = classify_word(system, gamma)
     fiber = nonauto_assouad(symbolic_slice(system, gamma, axis=1))
-    s_eta = _column_moran(system, 1)
-    dim_b, _ = _solve_box_dimension(system, s_eta)
-    tangent = s_eta + fiber
+    tangent = system.analysis.axes[0].proj[0] + fiber
     return PointwiseReport(
         fiber_dim=fiber, tangent_dim=tangent,
-        pointwise_assouad=max(dim_b, tangent), axis=1,
+        pointwise_assouad=max(system.analysis.box[0], tangent), axis=1,
         regularity_warning=not system.eta1_ssc, omega_class=omega)
 
 
@@ -115,8 +107,7 @@ def pointwise_assouad_baranski(system: CarpetSystem,
             "axis-%d projection is not strongly separated, so the slice "
             "formula does not apply" % j)
     fiber = nonauto_assouad(symbolic_slice(system, gamma, axis=j))
-    proj = _column_moran(system, j)
-    tangent = proj + fiber
+    tangent = system.analysis.axes[j - 1].proj[0] + fiber
     from .geometry import box_dimension_estimate
     estimate, band = box_dimension_estimate(system)
     return PointwiseReport(
@@ -134,10 +125,12 @@ def level_set_dim(system: CarpetSystem, alpha):
     dimA is the one attained at almost every point, which the flag
     records.  Levels outside the interval are empty: (None, False).
     """
-    report = gl_dims(system)
-    if not report.dimB - 1e-12 <= alpha <= report.dimA + 1e-12:
+    if not math.isfinite(alpha):
+        raise RangeError("alpha %r is not a finite number" % (alpha,))
+    analysis = system.analysis
+    if not analysis.box[0] - 1e-12 <= alpha <= analysis.dimA + 1e-12:
         return None, False
-    return report.dimH, bool(abs(alpha - report.dimA) <= 1e-12)
+    return gl_dims(system).dimH, bool(abs(alpha - analysis.dimA) <= 1e-12)
 
 
 def few_large_tangents(system: CarpetSystem):
@@ -168,12 +161,10 @@ def few_large_tangents(system: CarpetSystem):
             raise Unsupported("axis-%d projection is not strongly "
                               "separated" % j)
     directional, _, _ = baranski_dims(system)
-    pairs = ((1, directional.d1, directional.d2,
-              directional.A1, directional.A2),
-             (2, directional.d2, directional.d1,
-              directional.A2, directional.A1))
-    for j, d_j, d_other, a_j, a_other in pairs:
-        if d_j < d_other and a_j > a_other:
+    d = (directional.d1, directional.d2)
+    a = (directional.A1, directional.A2)
+    for j in (1, 2):
+        if d[j - 1] < d[2 - j] and a[j - 1] > a[2 - j]:
             return True, j
     return False, None
 

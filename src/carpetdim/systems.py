@@ -22,9 +22,11 @@ back to 1e-12 tolerances.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidSystem
 
@@ -101,6 +103,16 @@ class CarpetSystem:
     def classes(self, axis: int):
         return self.columns if axis == 1 else self.rows
 
+    @cached_property
+    def analysis(self):
+        """dimensions.Analysis of this system, made on first use."""
+        from .dimensions import Analysis
+        return Analysis(self)
+
+    def __getstate__(self):
+        # the analysis is remade on first use, so copies leave it behind
+        return {k: v for k, v in self.__dict__.items() if k != "analysis"}
+
     def aligned(self, axis: int) -> bool:
         """Distinct axis classes have disjoint open intervals."""
         return self.eta1_aligned if axis == 1 else self.eta2_aligned
@@ -148,16 +160,11 @@ def _group_axis(maps, axis, exact):
                  for c in classes)
 
 
-def _axis_aligned(maps, classes, axis, exact):
+def _axis_aligned(classes, exact):
     """Projection condition: distinct classes have disjoint open intervals."""
-    for a in range(len(classes)):
-        for b in range(a + 1, len(classes)):
-            ca, cb = classes[a], classes[b]
-            if not _open_intervals_disjoint(ca.offset, ca.offset + ca.ratio,
-                                            cb.offset, cb.offset + cb.ratio,
-                                            exact):
-                return False
-    return True
+    return all(_open_intervals_disjoint(a.offset, a.offset + a.ratio,
+                                        b.offset, b.offset + b.ratio, exact)
+               for a, b in itertools.combinations(classes, 2))
 
 
 def _axis_ssc(classes, exact):
@@ -191,21 +198,18 @@ def _axis_ssc(classes, exact):
 
 def _rects_disjoint(maps, exact):
     """Open image rectangles pairwise disjoint?"""
-    for a in range(len(maps)):
-        for b in range(a + 1, len(maps)):
-            ma, mb = maps[a], maps[b]
-            if not (_open_intervals_disjoint(ma.d1, ma.d1 + ma.r1,
-                                             mb.d1, mb.d1 + mb.r1, exact)
-                    or _open_intervals_disjoint(ma.d2, ma.d2 + ma.r2,
-                                                mb.d2, mb.d2 + mb.r2, exact)):
-                return False
-    return True
+    return all(_open_intervals_disjoint(a.d1, a.d1 + a.r1,
+                                        b.d1, b.d1 + b.r1, exact)
+               or _open_intervals_disjoint(a.d2, a.d2 + a.r2,
+                                           b.d2, b.d2 + b.r2, exact)
+               for a, b in itertools.combinations(maps, 2))
 
 
 def validate(maps) -> CarpetSystem:
     """Build a CarpetSystem from an iterable of DiagonalMap (or 4-tuples).
 
-    Raises InvalidSystem for fewer than two maps or any ratio outside (0,1).
+    Raises InvalidSystem for fewer than two maps, any entry that is not a
+    finite number, or any ratio outside (0,1).
     Overlapping images or missing alignment only demote the class to
     DiagonalOnly.  Images extending outside the unit square produce a warning,
     not an error.
@@ -218,6 +222,9 @@ def validate(maps) -> CarpetSystem:
     if len(norm) < 2:
         raise InvalidSystem("need at least two maps, got %d" % len(norm))
     for m in norm:
+        if not all(math.isfinite(v) for v in (m.r1, m.r2, m.d1, m.d2)):
+            raise InvalidSystem("map %r has an entry that is not a finite "
+                                "number" % (m,))
         for r in (m.r1, m.r2):
             if not 0 < float(r) < 1:
                 raise InvalidSystem("ratio %r outside (0, 1)" % (r,))
@@ -234,8 +241,8 @@ def validate(maps) -> CarpetSystem:
     rows = _group_axis(norm, 2, exact)
 
     disjoint = _rects_disjoint(norm, exact)
-    col_aligned = _axis_aligned(norm, columns, 1, exact)
-    row_aligned = _axis_aligned(norm, rows, 2, exact)
+    col_aligned = _axis_aligned(columns, exact)
+    row_aligned = _axis_aligned(rows, exact)
     wider = all((m.r1 > m.r2) if exact else (float(m.r1) > float(m.r2) + _TOL)
                 for m in norm)
 

@@ -273,6 +273,27 @@ def test_exit_code_unsupported(tmp_path, capsys, monkeypatch):
     assert envelope["diagnostics"]["error"] == "Unsupported"
 
 
+def test_non_finite_config_entries_are_invalid(capsys, monkeypatch):
+    # json.loads reads NaN and Infinity; neither is a valid offset
+    for bad in ("NaN", "Infinity"):
+        text = json.dumps(GL3_CONFIG).replace('"d1": 0', '"d1": ' + bad, 1)
+        for argv in (["validate"], ["boxcount", "--scales", "4,5"]):
+            code, envelope, _ = invoke(capsys, monkeypatch, argv, stdin=text)
+            assert code == 2
+            assert envelope["diagnostics"]["error"] == "InvalidSystem"
+
+
+def test_levelset_rejects_non_finite_alpha(tmp_path, capsys, monkeypatch):
+    path = config_file(tmp_path, GL3_CONFIG)
+    for alpha in ("nan", "inf", "-inf"):
+        code, envelope, _ = invoke(
+            capsys, monkeypatch,
+            ["--input", path, "levelset", "--alpha=" + alpha])
+        assert code == 2
+        assert envelope["diagnostics"]["error"] == "RangeError"
+        assert envelope["results"] == {}
+
+
 def test_exit_code_range_failures(capsys, monkeypatch):
     code, _, _ = invoke(capsys, monkeypatch,
                         ["example-baranski", "--delta", "0.2"])

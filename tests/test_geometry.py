@@ -23,6 +23,8 @@ from carpetdim import (DiagonalMap, EmptyInput, EventuallyPeriodicWord,
                        pseudo_cylinder_count, psi_estimate, render_svg,
                        scale_count_table, slice_cloud, tangent_cloud, validate,
                        write_scale_counts_csv)
+from carpetdim.dimensions import _AxisProblem
+from carpetdim.geometry import _packing_constant
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -354,6 +356,24 @@ def test_packing_check_random_cylinder_packings():
         assert packing_check(system, (word((), (m,)), radius), pack, 1.51)
         checked += 1
     assert checked >= 60
+
+
+def test_packing_check_on_gl_never_maximises(monkeypatch):
+    # dimA comes from Moran roots alone; the Hausdorff maximisation is
+    # never needed to calibrate the packing constant
+    def refuse(self):
+        raise AssertionError("Ledrappier-Young maximisation for dimA")
+
+    monkeypatch.setattr(_AxisProblem, "maximise", refuse)
+    _packing_constant.cache_clear()
+    system = glmix()
+    assert packing_check(system, (word((), (0,)), 0.5), [((0,), 0.05)], 1.6)
+
+
+def test_packing_check_needs_a_classified_system():
+    overlapping = validate([(HALF, QUARTER, 0, 0), (HALF, QUARTER, QUARTER, 0)])
+    with pytest.raises(WrongClass, match="DiagonalOnly"):
+        packing_check(overlapping, (word((), (0,)), 0.5), [((0,), 0.05)], 2.0)
 
 
 def test_packing_check_rejects_malformed_packings():

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from carpetdim import (ColumnSequence, EmptyInput, InvalidSystem,
-                       nonauto_assouad, nonauto_bounds, solve_moran,
-                       theta_window, window_sup)
+                       nonauto_assouad, solve_moran, theta_window,
+                       window_sup)
 
 # frozen from tests/oracles/moran_oracle.py
 ROOT_THIRD_SIXTH_SIXTH = 0.722629596943400
@@ -179,11 +179,3 @@ def test_window_sup_converges_like_inverse_m():
     c = max(m * errs[m] for m in ms[:4]) + 1e-9
     for m in ms[4:]:
         assert errs[m] <= c / m + 1e-12
-
-
-def test_nonauto_bounds_envelope():
-    lo, hi = nonauto_bounds([[0.25, 0.25], [0.25]])
-    assert lo == pytest.approx(0.0, abs=1e-12)
-    assert hi == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(EmptyInput):
-        nonauto_bounds([])

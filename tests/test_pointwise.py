@@ -1,16 +1,18 @@
 """Pointwise layer: slices, pointwise Assouad reports, level sets, splits."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from carpetdim import (DiagonalMap, EventuallyPeriodicWord, Unsupported,
-                       WrongClass, baranski_level_profile, build_exceptional,
-                       few_large_tangents, gl_dims, level_set_dim,
-                       pointwise_assouad_baranski, pointwise_assouad_gl,
-                       symbolic_slice, validate)
+from carpetdim import (DiagonalMap, EventuallyPeriodicWord, RangeError,
+                       Unsupported, WrongClass, baranski_level_profile,
+                       build_exceptional, few_large_tangents, gl_dims,
+                       level_set_dim, pointwise_assouad_baranski,
+                       pointwise_assouad_gl, symbolic_slice, validate)
+from carpetdim.dimensions import _AxisProblem
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -161,6 +163,39 @@ def test_level_set_dim_empty_outside():
     assert level_set_dim(gl3(), 1.7) == (None, False)
 
 
+def test_level_set_dim_outside_skips_the_maximisation(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Ledrappier-Young maximisation for an empty "
+                             "level")
+
+    monkeypatch.setattr(_AxisProblem, "maximise", refuse)
+    assert level_set_dim(gl3(), 1.0) == (None, False)
+    assert level_set_dim(gl3(), 1.7) == (None, False)
+
+
+def test_level_set_dim_rejects_non_finite_alpha():
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(RangeError):
+            level_set_dim(gl3(), alpha)
+
+
+def test_analysis_is_kept_per_system_object():
+    system = gl3()
+    assert system.analysis is system.analysis
+    assert gl3().analysis is not system.analysis
+    first = gl_dims(system)
+    first.diagnostics["slice_exponents"].append(9.0)
+    first.diagnostics["optimizer"]["iterations"] = -1
+    first.diagnostics.clear()
+    again = gl_dims(system)
+    assert len(again.diagnostics["slice_exponents"]) == 2
+    assert again.diagnostics["optimizer"]["iterations"] > 0
+    assert again == gl_dims(gl3())
+    copied = pickle.loads(pickle.dumps(system))
+    assert copied == system and "analysis" not in vars(copied)
+    assert gl_dims(copied) == again
+
+
 # ----------------------------------------------- Baranski pointwise values
 
 def test_pointwise_baranski_wide_column_word():
@@ -275,6 +310,21 @@ def test_level_profile_values_and_details():
     assert below is None
     above, _ = baranski_level_profile(system, 1.95, unverified=True)
     assert above is None
+
+
+def test_level_profile_maximises_each_axis_once(monkeypatch):
+    axes = []
+    init = _AxisProblem.__init__
+
+    def counted(self, system, j):
+        axes.append(j)
+        init(self, system, j)
+
+    monkeypatch.setattr(_AxisProblem, "__init__", counted)
+    system = build_exceptional("1/40")
+    baranski_level_profile(system, 1.7, unverified=True)
+    baranski_level_profile(system, 1.4, unverified=True)
+    assert sorted(axes) == [1, 2]
 
 
 def test_level_profile_needs_split():

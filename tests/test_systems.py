@@ -81,6 +81,15 @@ def test_validate_rejects_degenerate_input():
         validate([([3, 2], [1, 4], 0, 0), ([1, 2], [1, 4], [1, 2], 0)])
 
 
+def test_validate_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidSystem, match="finite"):
+            validate([DiagonalMap(0.5, 0.25, bad, 0.0),
+                      DiagonalMap(0.5, 0.25, 0.5, 0.0)])
+        with pytest.raises(InvalidSystem, match="finite"):
+            validate([(0.5, 0.25, 0.0, 0.0), (0.5, 0.25, 0.5, bad)])
+
+
 def test_validate_is_permutation_invariant():
     base = build_exceptional(Fraction(1, 40))
     rng = np.random.default_rng(3)
