@@ -20,7 +20,8 @@ Exit codes: 0 success; 2 invalid input or parameters; 3 structurally valid
 but unsupported input (wrong class, missing separation, center coded by a
 word with no dominant contraction axis); 4 solver failure or internal
 error.  Failures still emit an envelope (empty results, the error class in
-diagnostics) and put a human-readable message on stderr.
+diagnostics) and put a human-readable message on stderr; that includes a
+command line argparse rejects (``UsageError``, exit 2), but not ``--help``.
 """
 
 from __future__ import annotations
@@ -274,8 +275,26 @@ _HANDLERS = {
 }
 
 
+class UsageError(ValueError):
+    """The command line was rejected; ``command`` is the subcommand whose
+    options were at fault, or None."""
+
+    def __init__(self, message, command):
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would exit, so that a rejected
+    command line still gets the failure envelope; --help still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message, self.prog.partition(" ")[2] or None)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="carpetdim",
         description="Dimensions of diagonal self-affine carpets: closed "
                     "forms, pointwise reports, and symbolic covering "
@@ -338,6 +357,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    except UsageError as exc:
+        return _fail(exc.command, "", {}, exc, 2)
 
     digest = ""
     diagnostics = {"seed": args.seed}
@@ -362,14 +383,14 @@ def run(argv=None) -> int:
             else:
                 results, warnings = out
     except _UNSUPPORTED as exc:
-        return _fail(args, digest, diagnostics, exc, 3)
+        return _fail(args.command, digest, diagnostics, exc, 3)
     except _VALIDATION as exc:
-        return _fail(args, digest, diagnostics, exc, 2)
+        return _fail(args.command, digest, diagnostics, exc, 2)
     except (ValueError, IndexError, OSError) as exc:
-        return _fail(args, digest, diagnostics, exc, 2)
+        return _fail(args.command, digest, diagnostics, exc, 2)
     except CarpetError as exc:
         # OptimizerFailure and anything else computational
-        return _fail(args, digest, diagnostics, exc, 4)
+        return _fail(args.command, digest, diagnostics, exc, 4)
 
     _emit({"command": args.command, "input_digest": digest,
            "results": results, "diagnostics": diagnostics,
@@ -377,10 +398,10 @@ def run(argv=None) -> int:
     return 0
 
 
-def _fail(args, digest, diagnostics, exc, code):
+def _fail(command, digest, diagnostics, exc, code):
     diagnostics = dict(diagnostics)
     diagnostics["error"] = type(exc).__name__
-    _emit({"command": args.command, "input_digest": digest, "results": {},
+    _emit({"command": command, "input_digest": digest, "results": {},
            "diagnostics": diagnostics, "warnings": [str(exc)]})
     print("error: %s" % exc, file=sys.stderr)
     return code

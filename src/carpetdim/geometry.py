@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (EmptyInput, InvalidPacking, RangeError, WrongClass,
                      WrongShape)
@@ -532,13 +531,20 @@ def packing_check(system, ball, packing, alpha) -> bool:
 # ------------------------------------------------------ clouds and tangents
 
 def directed_hausdorff(a: PointCloud, b: PointCloud) -> float:
-    """sup over a of the distance to the nearest point of b."""
+    """sup over a of the distance to the nearest point of b.
+
+    Nearest neighbours come from scipy's k-d tree.  This is the only place
+    carpetdim loads scipy, so it is imported here rather than with the
+    module: ``import carpetdim`` and every CLI command stay free of it."""
+    from scipy.spatial import cKDTree
     pa, pb = a.array(), b.array()
     return float(cKDTree(pb).query(pa)[0].max())
 
 
 def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
-    """Hausdorff distance between two finite clouds (exact, symmetric)."""
+    """Hausdorff distance between two finite clouds (exact, symmetric).
+
+    Loads scipy on first use, through ``directed_hausdorff``."""
     return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import InvalidSystem
 
@@ -109,21 +110,26 @@ class CarpetSystem:
         from .dimensions import Analysis
         return Analysis(self)
 
+    @cached_property
+    def _class_indices(self):
+        return tuple(MappingProxyType({i: cid for cid, cls in
+                                       enumerate(self.classes(axis))
+                                       for i in cls.members})
+                     for axis in (1, 2))
+
     def __getstate__(self):
-        # the analysis is remade on first use, so copies leave it behind
-        return {k: v for k, v in self.__dict__.items() if k != "analysis"}
+        # cached values are remade on first use, so copies leave them behind
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("analysis", "_class_indices")}
 
     def aligned(self, axis: int) -> bool:
         """Distinct axis classes have disjoint open intervals."""
         return self.eta1_aligned if axis == 1 else self.eta2_aligned
 
     def class_index(self, axis: int):
-        """map index -> class id on the given axis."""
-        out = {}
-        for cid, cls in enumerate(self.classes(axis)):
-            for i in cls.members:
-                out[i] = cid
-        return out
+        """map index -> class id on the given axis, read-only and built once
+        per system."""
+        return self._class_indices[0 if axis == 1 else 1]
 
 
 def _close(a, b, exact):

@@ -19,9 +19,13 @@ def h2(p):
 
 
 def maximize(f, lo, hi):
+    """Maximum of f on [lo, hi].  The bounded method never evaluates the
+    endpoints and stops about xatol inside them, so a maximum on the
+    boundary is taken from the endpoint values themselves."""
     res = minimize_scalar(lambda p: -f(p), bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
-    return res.x, -res.fun
+    return max([(res.x, -res.fun), (lo, f(lo)), (hi, f(hi))],
+               key=lambda candidate: candidate[1])
 
 
 # ---------------------------------------------------------------- 3-map GL

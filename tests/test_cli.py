@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import carpetdim
 from carpetdim.cli import load_config, parse_columns, parse_gamma, run
 
 GL3_CONFIG = {"maps": [
@@ -304,7 +309,82 @@ def test_exit_code_range_failures(capsys, monkeypatch):
 
 
 def test_help_and_missing_command_codes(capsys, monkeypatch):
-    assert run(["--help"]) == 0
-    capsys.readouterr()
-    assert run([]) == 2
-    capsys.readouterr()
+    for argv in (["--help"], ["-h"], ["levelset", "--help"]):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage:")
+        assert '"input_digest"' not in out
+    code, envelope, _ = invoke(capsys, monkeypatch, [])
+    assert code == 2
+    assert envelope["command"] is None
+    assert envelope["diagnostics"]["error"] == "UsageError"
+
+
+def test_rejected_command_line_emits_failure_envelope(tmp_path, capsys,
+                                                      monkeypatch):
+    path = config_file(tmp_path, GL3_CONFIG)
+    # argparse reads "-inf" as an option, so --alpha has no value
+    code, envelope, err = invoke(capsys, monkeypatch,
+                                 ["--input", path, "levelset", "--alpha",
+                                  "-inf"])
+    assert code == 2
+    assert set(envelope) == ENVELOPE_KEYS
+    assert envelope["command"] == "levelset"
+    assert envelope["results"] == {}
+    assert envelope["diagnostics"]["error"] == "UsageError"
+    assert "--alpha" in envelope["warnings"][0]
+    assert err.startswith("usage:")
+    for argv in (["--input", path, "bogus"],
+                 ["--input", path, "dims", "extra"]):
+        code, envelope, _ = invoke(capsys, monkeypatch, argv)
+        assert code == 2
+        assert envelope["command"] is None
+        assert envelope["results"] == {}
+        assert envelope["diagnostics"]["error"] == "UsageError"
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    """Every command runs in a fresh interpreter without importing scipy;
+    directed_hausdorff still loads it on demand afterwards."""
+    (tmp_path / "gl3.json").write_text(json.dumps(GL3_CONFIG))
+    (tmp_path / "cols.json").write_text(json.dumps({"period": [[0.5]]}))
+    script = textwrap.dedent("""
+        import io, json, sys
+        import carpetdim, carpetdim.cli
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+        loaded = {"import": scipy_modules()}
+        for argv in (["dims"], ["validate"], ["levelset", "--alpha", "1.4"],
+                     ["pointwise", "--gamma", ":(0)", "--axis", "2"],
+                     ["estimate"], ["boxcount", "--scales", "4,5",
+                                    "--out", "counts.csv"],
+                     ["render", "--depth", "2", "--out", "cover.svg"],
+                     ["fiber", "--columns", "cols.json"],
+                     ["example-baranski", "--delta", "1/40"]):
+            stdout, sys.stdout = sys.stdout, io.StringIO()
+            try:
+                code = carpetdim.cli.run(["--input", "gl3.json"] + argv)
+            finally:
+                sys.stdout = stdout
+            assert code == 0, argv
+            loaded[argv[0]] = scipy_modules()
+        a = carpetdim.PointCloud(((0.0, 0.0), (3.0, 4.0)), 0.1)
+        b = carpetdim.PointCloud(((0.0, 0.0),), 0.1)
+        print(json.dumps({"loaded": loaded,
+                          "distance": carpetdim.directed_hausdorff(a, b),
+                          "after": bool(scipy_modules())}))
+    """)
+    src = str(Path(carpetdim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["loaded"] == {key: [] for key in report["loaded"]}
+    assert len(report["loaded"]) == 10
+    assert report["distance"] == 5.0
+    assert report["after"] is True

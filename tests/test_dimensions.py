@@ -13,16 +13,16 @@ from carpetdim import (DiagonalMap, OptimizerFailure, ProbabilityVector,
 from carpetdim.dimensions import _AxisProblem
 from carpetdim.pointwise import build_exceptional
 
-# Frozen from tests/oracles/dims_oracle.py (closed forms + scipy golden
-# section on the one-parameter reductions).
+# Frozen from tests/oracles/dims_oracle.py (closed forms + scipy bounded
+# search on the one-parameter reductions, endpoints included).
 GL3_DIMH = 1.271553303163612          # log2(1 + sqrt 2)
 GL3_DIMB = 1.292481250360578          # 1 + log(3/2)/log 4
 EXC0_P0 = 0.415037499278844
 EXC0_SUP_D1 = 0.489536321199650       # reduction sup, argmax 0.415974485884
 EXC0_SUP_D2 = 0.529532656220852       # reduction sup, argmax 0.580810911591
-EXC0_D1 = 1.697053765272724           # constrained axis-1 value (boundary)
+EXC0_D1 = 1.697053767125634           # constrained axis-1 value (boundary)
 EXC0_D2 = 1.722629596943400           # constrained axis-2 value (interior)
-EXC40_D1 = 1.570175082537308
+EXC40_D1 = 1.570175084313288
 EXC40_D2 = 1.595978680097956
 # Directional totals assembled from tests/oracles/moran_oracle.py roots.
 EXC40_A1 = 0.920784065313739 + 0.929366693798885
@@ -291,7 +291,7 @@ def test_baranski_dims_exceptional_zero():
     assert directional.A1 == pytest.approx(2.0, abs=1e-9)
     assert directional.A2 == pytest.approx(EXC0_D2, abs=1e-9)
     assert directional.t1 == pytest.approx(1.0, abs=1e-12)
-    assert directional.d1 == pytest.approx(EXC0_D1, abs=1e-6)
+    assert directional.d1 == pytest.approx(EXC0_D1, abs=1e-12)
     assert directional.d2 == pytest.approx(EXC0_D2, abs=1e-6)
     assert dimH == pytest.approx(EXC0_D2, abs=1e-6)
     assert dimA == pytest.approx(2.0, abs=1e-9)
@@ -301,7 +301,7 @@ def test_baranski_dims_exceptional_fortieth():
     directional, dimH, dimA = baranski_dims(build_exceptional(Fraction(1, 40)))
     assert directional.A1 == pytest.approx(EXC40_A1, abs=1e-9)
     assert directional.A2 == pytest.approx(EXC40_A2, abs=1e-9)
-    assert directional.d1 == pytest.approx(EXC40_D1, abs=1e-6)
+    assert directional.d1 == pytest.approx(EXC40_D1, abs=1e-12)
     assert directional.d2 == pytest.approx(EXC40_D2, abs=1e-6)
     assert directional.d1 < directional.d2
     assert directional.A1 > directional.A2

@@ -26,7 +26,7 @@ EXC40_PROJ1 = 0.920784065313739       # a1^s + 4 a2^s = 1
 EXC40_PROJ2 = 0.929366693798885       # 4 b^s = 1
 EXC40_COLUMN_FIBER = 0.929366693798885   # 4 b^t = 1 (wide-column slice)
 EXC40_ROW_FIBER = 0.666611986299070      # a1^t + 2 a2^t = 1 (row slice)
-EXC40_D1 = 1.570175082537308
+EXC40_D1 = 1.570175084313288
 EXC40_A1 = EXC40_PROJ1 + EXC40_COLUMN_FIBER
 EXC40_A2 = EXC40_PROJ2 + EXC40_ROW_FIBER
 
@@ -301,10 +301,10 @@ def test_level_profile_values_and_details():
     assert details["cut"] == pytest.approx(EXC40_A2, abs=1e-12)
     assert details["unverified"] is True
     # 1.7 sits above the smaller directional total, on the flat d1 branch
-    assert value == pytest.approx(EXC40_D1, abs=1e-6)
+    assert value == pytest.approx(EXC40_D1, abs=1e-12)
 
     top, _ = baranski_level_profile(system, EXC40_A1, unverified=True)
-    assert top == pytest.approx(EXC40_D1, abs=1e-6)
+    assert top == pytest.approx(EXC40_D1, abs=1e-12)
 
     below, _ = baranski_level_profile(system, 1.4, unverified=True)
     assert below is None

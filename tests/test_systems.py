@@ -1,7 +1,9 @@
 """Model layer: validation, classification, projections, symbolic words."""
 
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +128,23 @@ def test_column_word_basics():
     assert len(column_word(system, (0, 1, 2, 3), axis=2)) == 4
     with pytest.raises(IndexError):
         column_word(system, (0, 12), axis=1)
+
+
+def test_class_index_is_built_once_and_read_only():
+    system = build_exceptional(Fraction(1, 40))
+    for axis in (1, 2):
+        lookup = system.class_index(axis)
+        assert system.class_index(axis) is lookup
+        assert dict(lookup) == {i: cid for cid, cls in
+                                enumerate(system.classes(axis))
+                                for i in cls.members}
+        with pytest.raises(TypeError):
+            lookup[0] = 99
+    for copied in (pickle.loads(pickle.dumps(system)), copy.copy(system),
+                   copy.deepcopy(system)):
+        assert copied == system and "_class_indices" not in vars(copied)
+        assert all(copied.class_index(axis) == system.class_index(axis)
+                   for axis in (1, 2))
 
 
 def test_classify_word_gl_is_always_omega1():
