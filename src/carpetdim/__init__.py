@@ -2,7 +2,7 @@
 
 from .dimensions import (BaranskiDirectional, DimensionReport,
                          baranski_1d_reduction, baranski_dims, entropy_stats,
-                         gl_dims, gl_hausdorff, reduction_suprema)
+                         gl_dims, reduction_suprema)
 from .errors import (CarpetError, EmptyInput, InvalidPacking, InvalidSystem,
                      OptimizerFailure, RangeError, Unsupported, WrongClass,
                      WrongShape)

@@ -163,7 +163,6 @@ def _cmd_validate(system, args):
 
 
 def _cmd_dims(system, args):
-    warnings = []
     if system.klass == GATZOURAS_LALLEY:
         report = gl_dims(system)
         results = dict(asdict(report), klass=system.klass,
@@ -172,10 +171,8 @@ def _cmd_dims(system, args):
         extra = {"optimizer": report.diagnostics}
     elif system.klass == BARANSKI:
         directional, dim_h, dim_a = baranski_dims(system)
-        results = dict(asdict(directional), klass=system.klass, dimB=None,
-                       dimH=dim_h, dimA=dim_a)
-        warnings.append("no closed form for the Baranski box dimension; "
-                        "run 'estimate' for an empirical value")
+        results = dict(asdict(directional), klass=system.klass,
+                       dimB=system.analysis.box[0], dimH=dim_h, dimA=dim_a)
         try:
             results["reduction"] = reduction_suprema(system)
         except WrongShape:
@@ -184,7 +181,7 @@ def _cmd_dims(system, args):
     else:
         raise WrongClass("dims needs a GatzourasLalley or Baranski system, "
                          "got %s" % system.klass)
-    return results, warnings, extra
+    return results, [], extra
 
 
 def _cmd_pointwise(system, args):

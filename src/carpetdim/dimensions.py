@@ -18,9 +18,10 @@ For a Baranski system the two axes compete.  The axis-j value s_j(w) (same
 shape with j and the orthogonal axis j' swapped in) is maximized over
 P_j = {w : chi_j(w) <= chi_{j'}(w)} and dimH = max_j d_j.  On the boundary
 chi_j = chi_{j'} the value collapses to H(w)/chi_j(w).  Directional totals
-A_j = dimB eta_j(K) + t_j give dimA = max_j A_j; no closed form for the
-Baranski box dimension is provided, only the empirical estimate from the
-geometry layer.
+A_j = dimB eta_j(K) + t_j give dimA = max_j A_j, and dimB = max_j D_j, where
+D_j solves sum_i a_{j,i}^{s_j} b_i^{D_j - s_j} = 1 with a the axis-j ratios,
+b the orthogonal ones and s_j = dimB eta_j(K) (Baranski, Adv. Math. 2007);
+D_1 is the GatzourasLalley box dimension above.
 
 Every Ledrappier-Young maximum, GL or Baranski, interior or boundary, comes
 from one deterministic solver in Gibbs form.  With a_l the axis-j ratio of
@@ -292,6 +293,24 @@ class AxisAnalysis:
         return proj, t, proj + t
 
     @cached_property
+    def box(self):
+        """(D_j, residual): root of sum_i a_i^{s_j} b_i^{D - s_j} = 1, a and b
+        the axis-j and orthogonal ratios, by Newton steps up from s_j, where
+        the convex decreasing log of the sum is >= 0, until rounding."""
+        s_j = self.proj[0]
+        log_a = np.log([float(m.ratio(self.j)) for m in self.system.maps])
+        log_b = np.log([float(m.ratio(3 - self.j)) for m in self.system.maps])
+        s, last = s_j, math.inf
+        for _ in range(_MAX_STEPS):
+            terms = np.exp(s_j * log_a + (s - s_j) * log_b)
+            total = float(terms.sum())
+            step = math.log(total) * total / -float(terms @ log_b)
+            if abs(step) <= _TOL * max(1.0, s) or abs(step) >= last:
+                return s, abs(total - 1.0)
+            s, last = s + step, abs(step)
+        raise OptimizerFailure("box dimension root not reached")
+
+    @cached_property
     def maximum(self):
         """(d_j, argmax, diagnostics) of the Ledrappier-Young value over P_j,
         or None when P_j has no interior."""
@@ -299,8 +318,8 @@ class AxisAnalysis:
 
 
 class Analysis:
-    """An AxisAnalysis per axis; dimB (with its residual) and dimL of a
-    GatzourasLalley carpet; dimA, A_1 there and max_j A_j if Baranski."""
+    """An AxisAnalysis per axis; dimB (with its residual) and dimA over the
+    axes of a Baranski carpet or the column axis of a GL one; GL dimL."""
 
     def __init__(self, system):
         self.system = system
@@ -311,30 +330,19 @@ class Analysis:
             raise WrongClass("need %s, got %s"
                              % (" or ".join(classes), self.system.klass))
 
+    def _axes(self):
+        """Both axes of a Baranski carpet, the column axis of a GL one."""
+        self._need(BARANSKI, GATZOURAS_LALLEY)
+        return self.axes if self.system.klass == BARANSKI else self.axes[:1]
+
     @cached_property
     def box(self):
-        """(dimB, residual): root of sum_i r1_i^{s_eta} r2_i^{s - s_eta} = 1
-        by Newton steps up from s_eta, where the convex decreasing log of the
-        sum is >= 0; the steps shrink until rounding stops them."""
-        self._need(GATZOURAS_LALLEY)
-        s_eta = self.axes[0].proj[0]
-        log_r1 = np.log([float(m.r1) for m in self.system.maps])
-        log_r2 = np.log([float(m.r2) for m in self.system.maps])
-        s, last = s_eta, math.inf
-        for _ in range(_MAX_STEPS):
-            terms = np.exp(s_eta * log_r1 + (s - s_eta) * log_r2)
-            total = float(terms.sum())
-            step = math.log(total) * total / -float(terms @ log_r2)
-            if abs(step) <= _TOL * max(1.0, s) or abs(step) >= last:
-                return s, abs(total - 1.0)
-            s, last = s + step, abs(step)
-        raise OptimizerFailure("box dimension root not reached")
+        """(dimB, residual): the largest axis root D_j."""
+        return max((axis.box for axis in self._axes()), key=lambda b: b[0])
 
     @cached_property
     def dimA(self):
-        self._need(BARANSKI, GATZOURAS_LALLEY)
-        axes = self.axes if self.system.klass == BARANSKI else self.axes[:1]
-        return max(axis.directional[2] for axis in axes)
+        return max(axis.directional[2] for axis in self._axes())
 
     @cached_property
     def dimL(self):
@@ -344,15 +352,10 @@ class Analysis:
 
 # ------------------------------------------------ reports from the analysis
 
-def gl_hausdorff(system: CarpetSystem):
-    """Hausdorff dimension of a GatzourasLalley carpet: maximize the axis-1
-    Ledrappier-Young value over the simplex.  Returns (value, argmax)."""
-    report = gl_dims(system)
-    return report.dimH, report.argmax_p
-
-
 def gl_dims(system: CarpetSystem) -> DimensionReport:
     """Full dimension report for a GatzourasLalley carpet."""
+    if system.klass != GATZOURAS_LALLEY:
+        raise WrongClass("need %s, got %s" % (GATZOURAS_LALLEY, system.klass))
     analysis = system.analysis
     dimB, box_residual = analysis.box
     first, second = analysis.axes

@@ -28,9 +28,8 @@ class PointwiseReport:
     pointwise_assouad the pointwise Assouad dimension itself.  When the
     relevant projected system is not strongly separated the formulas are
     still reported but only guaranteed to be lower bounds, which
-    regularity_warning records.  For systems without a closed-form box
-    dimension the box term is an empirical estimate and dimB_estimate /
-    dimB_band carry it with its spread.
+    regularity_warning records.  pointwise_assouad is the larger of the
+    closed-form box dimension and tangent_dim.
     """
 
     fiber_dim: float
@@ -39,8 +38,6 @@ class PointwiseReport:
     axis: int
     regularity_warning: bool
     omega_class: str
-    dimB_estimate: float = None
-    dimB_band: tuple = None
 
 
 def symbolic_slice(system: CarpetSystem, gamma: EventuallyPeriodicWord,
@@ -59,6 +56,18 @@ def symbolic_slice(system: CarpetSystem, gamma: EventuallyPeriodicWord,
         period=tuple(fibers[lookup[i]] for i in gamma.period))
 
 
+def _pointwise(system, gamma, j, omega, regularity_warning):
+    """The report on axis j: the slice fiber along gamma, the tangent
+    s_eta_j + fiber, and its max with dimB."""
+    analysis = system.analysis
+    fiber = nonauto_assouad(symbolic_slice(system, gamma, axis=j))
+    tangent = analysis.axes[j - 1].proj[0] + fiber
+    return PointwiseReport(
+        fiber_dim=fiber, tangent_dim=tangent,
+        pointwise_assouad=max(analysis.box[0], tangent), axis=j,
+        regularity_warning=regularity_warning, omega_class=omega)
+
+
 def pointwise_assouad_gl(system: CarpetSystem,
                          gamma: EventuallyPeriodicWord) -> PointwiseReport:
     """Pointwise Assouad dimension at the point coded by gamma.
@@ -74,12 +83,7 @@ def pointwise_assouad_gl(system: CarpetSystem,
         raise WrongClass("pointwise formula needs GatzourasLalley, got %s"
                          % system.klass)
     omega, _ = classify_word(system, gamma)
-    fiber = nonauto_assouad(symbolic_slice(system, gamma, axis=1))
-    tangent = system.analysis.axes[0].proj[0] + fiber
-    return PointwiseReport(
-        fiber_dim=fiber, tangent_dim=tangent,
-        pointwise_assouad=max(system.analysis.box[0], tangent), axis=1,
-        regularity_warning=not system.eta1_ssc, omega_class=omega)
+    return _pointwise(system, gamma, 1, omega, not system.eta1_ssc)
 
 
 def pointwise_assouad_baranski(system: CarpetSystem,
@@ -89,9 +93,9 @@ def pointwise_assouad_baranski(system: CarpetSystem,
 
     Words contracting asymptotically faster in the vertical slice along
     columns (axis 1), the opposite ones along rows (axis 2); balanced words
-    admit no formula and are rejected.  The box-dimension term has no
-    closed form here, so the report carries an empirical estimate with its
-    band next to the unconditional tangent term.
+    admit no formula and are rejected.  As in the GL case the value is the
+    tangent on that axis capped below by the closed-form box dimension
+    max_j D_j.
     """
     if system.klass not in (BARANSKI, GATZOURAS_LALLEY):
         raise WrongClass("pointwise formula needs a Baranski system, got %s"
@@ -106,15 +110,7 @@ def pointwise_assouad_baranski(system: CarpetSystem,
         raise Unsupported(
             "axis-%d projection is not strongly separated, so the slice "
             "formula does not apply" % j)
-    fiber = nonauto_assouad(symbolic_slice(system, gamma, axis=j))
-    tangent = system.analysis.axes[j - 1].proj[0] + fiber
-    from .geometry import box_dimension_estimate
-    estimate, band = box_dimension_estimate(system)
-    return PointwiseReport(
-        fiber_dim=fiber, tangent_dim=tangent,
-        pointwise_assouad=max(estimate, tangent), axis=j,
-        regularity_warning=False, omega_class=omega,
-        dimB_estimate=estimate, dimB_band=band)
+    return _pointwise(system, gamma, j, omega, False)
 
 
 def level_set_dim(system: CarpetSystem, alpha):
@@ -127,6 +123,8 @@ def level_set_dim(system: CarpetSystem, alpha):
     """
     if not math.isfinite(alpha):
         raise RangeError("alpha %r is not a finite number" % (alpha,))
+    if system.klass != GATZOURAS_LALLEY:
+        raise WrongClass("need %s, got %s" % (GATZOURAS_LALLEY, system.klass))
     analysis = system.analysis
     if not analysis.box[0] - 1e-12 <= alpha <= analysis.dimA + 1e-12:
         return None, False
@@ -174,11 +172,11 @@ def baranski_level_profile(system: CarpetSystem, alpha, unverified=False):
 
     For systems where few_large_tangents holds with witness j, the level
     set at alpha has dimension dimH for alpha up to the smaller directional
-    total A_j' and drops to d_j above it.  The lower cut-off needs the box
-    dimension, which is only available empirically here, and the formula
-    itself is stated without proof in the source material, so the call is
-    gated: pass unverified=True to acknowledge that the output is
-    documented but not verified.  Returns (value or None, details dict).
+    total A_j' and drops to d_j above it; levels below the box dimension
+    dimB = max_j D_j are empty.  The formula is stated without proof in the
+    source material, so the call is gated: pass unverified=True to
+    acknowledge that the output is documented but not verified.  Returns
+    (value or None, details dict).
     """
     if not unverified:
         raise Unsupported(
@@ -190,11 +188,9 @@ def baranski_level_profile(system: CarpetSystem, alpha, unverified=False):
     directional, dim_h, dim_a = baranski_dims(system)
     cut = directional.A2 if j == 1 else directional.A1
     low = directional.d1 if j == 1 else directional.d2
-    from .geometry import box_dimension_estimate
-    estimate, band = box_dimension_estimate(system)
-    details = {"witness": j, "cut": cut, "dimB_estimate": estimate,
-               "dimB_band": band, "unverified": True}
-    if alpha < estimate - 1e-12 or alpha > dim_a + 1e-12:
+    dim_b = system.analysis.box[0]
+    details = {"witness": j, "cut": cut, "dimB": dim_b, "unverified": True}
+    if alpha < dim_b - 1e-12 or alpha > dim_a + 1e-12:
         return None, details
     return (dim_h if alpha <= cut + 1e-12 else low), details
 

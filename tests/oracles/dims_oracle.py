@@ -1,14 +1,15 @@
 """Independent oracle for the closed-form dimension tests.
 
 Produces frozen expected values via routes that do not share code with the
-package: closed-form algebra plus scipy bounded scalar minimization.
+package: closed-form algebra, scipy bounded scalar minimization and brentq
+roots.
 
 Run:  python3 tests/oracles/dims_oracle.py
 """
 
 import math
 
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 
 def h2(p):
@@ -102,8 +103,50 @@ def report_family(delta, label):
     print("  d2=%.15f at p=%.12f" % (d2, pd2))
 
 
+# ----------------------------------------------------------- box dimension
+# Baranski (Adv. Math. 2007): dimB = max(D_1, D_2).  s_j is the Moran root of
+# the axis-j projection, one ratio per distinct interval, and D_j solves
+# sum_i a_i^s_j b_i^(D_j - s_j) = 1 over the maps, with a the axis-j ratio
+# and b the orthogonal one.  For a wider-than-tall carpet D_1 is dimB.
+def root(f, lo):
+    return brentq(f, lo, 64.0, xtol=1e-15, rtol=8.9e-16)
+
+
+def box_roots(maps):
+    """(D_1, D_2) of maps given as (r1, r2, d1, d2) floats."""
+    out = []
+    for j in (0, 1):
+        intervals = {(m[2 + j], m[j]) for m in maps}
+        s = root(lambda t: sum(r ** t for _, r in intervals) - 1.0, 0.0)
+        # the sum is >= 1 at d = s, up to rounding when no two maps share
+        # an interval, so the bracket starts just below s
+        out.append(root(lambda d: sum(m[j] ** s * m[1 - j] ** (d - s)
+                                      for m in maps) - 1.0, s - 1e-9))
+    return tuple(out)
+
+
+def family_maps(delta):
+    """The 12 maps of the family: the wide column of four cells, then two
+    narrow columns in the bottom two rows and two in the top two."""
+    a1, a2, b = family(delta)
+    col_x = [a1 + (k + 1) * 1.25 * delta + k * a2 for k in range(4)]
+    row_y = [i * (b + 4.0 * delta / 3.0) for i in range(4)]
+    maps = [(a1, b, 0.0, y) for y in row_y]
+    for cols, rows in (((0, 1), (0, 1)), ((2, 3), (2, 3))):
+        maps += [(a2, b, col_x[k], row_y[i]) for k in cols for i in rows]
+    return maps
+
+
+def report_box(delta, label):
+    d1, d2 = box_roots(family_maps(delta))
+    print("family delta=%s  D1=%.15f  D2=%.15f  dimB=%.15f"
+          % (label, d1, d2, max(d1, d2)))
+
+
 if __name__ == "__main__":
     report_gl3()
     for delta, label in [(0.0, "0"), (1.0 / 40.0, "1/40"),
                          (1.0 / 50.0, "1/50"), (1.0 / 60.0, "1/60")]:
         report_family(delta, label)
+    for delta, label in [(0.0, "0"), (1.0 / 40.0, "1/40"), (1.0 / 7.0, "1/7")]:
+        report_box(delta, label)

@@ -12,6 +12,7 @@ import pytest
 
 import carpetdim
 from carpetdim.cli import load_config, parse_columns, parse_gamma, run
+from carpetdim.dimensions import _AxisProblem
 
 GL3_CONFIG = {"maps": [
     {"r1": [1, 2], "r2": [1, 4], "d1": 0, "d2": 0},
@@ -24,6 +25,11 @@ SQUARE4_CONFIG = {"maps": [
     {"r1": [1, 3], "r2": [1, 3], "d1": 0, "d2": [2, 3]},
     {"r1": [1, 3], "r2": [1, 3], "d1": [2, 3], "d2": [2, 3]},
 ]}
+
+# Frozen from tests/oracles/dims_oracle.py (brentq): dimB = max(D_1, D_2)
+# of the example family, which is D_2 at each of these deltas.
+EXC_DIMB = {"0": 1.722629596943400, "1/40": 1.595978680097956,
+            "1/7": 1.006585318851378}
 
 ENVELOPE_KEYS = {"command", "input_digest", "results", "diagnostics",
                  "warnings"}
@@ -120,6 +126,36 @@ def test_example_pipeline_reduction_dimh(capsys, monkeypatch):
     assert reduction["sup_D2"] == pytest.approx(0.529533, abs=1e-4)
     assert reduction["dimH"] == pytest.approx(0.529533, abs=1e-4)
     assert reduction["p0"] < reduction["argmax_D2"] < 1.0
+
+
+def example(capsys, monkeypatch, delta):
+    code, made, _ = invoke(capsys, monkeypatch,
+                           ["example-baranski", "--delta", delta])
+    assert code == 0
+    return json.dumps(made)
+
+
+def test_dims_baranski_box_dimension(capsys, monkeypatch):
+    for delta, expected in EXC_DIMB.items():
+        code, envelope, _ = invoke(capsys, monkeypatch, ["dims"],
+                                   stdin=example(capsys, monkeypatch, delta))
+        assert code == 0
+        assert envelope["results"]["dimB"] == pytest.approx(expected,
+                                                            abs=1e-12)
+        assert envelope["warnings"] == []
+
+
+def test_levelset_baranski_is_wrong_class(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("maximised a Baranski axis")
+
+    text = example(capsys, monkeypatch, "1/40")
+    monkeypatch.setattr(_AxisProblem, "maximise", refuse)
+    for alpha in ("1.0", "1.58"):
+        code, envelope, _ = invoke(capsys, monkeypatch,
+                                   ["levelset", "--alpha", alpha], stdin=text)
+        assert code == 3
+        assert envelope["diagnostics"]["error"] == "WrongClass"
 
 
 def test_dims_byte_identical_between_runs(tmp_path, capsys, monkeypatch):

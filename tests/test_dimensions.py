@@ -1,7 +1,9 @@
 """Closed-form dimension layer: entropies, GL report, Baranski directional."""
 
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from carpetdim import (DiagonalMap, OptimizerFailure, ProbabilityVector,
                        RangeError, WrongClass, WrongShape,
                        baranski_1d_reduction, baranski_dims, entropy_stats,
-                       gl_dims, gl_hausdorff, reduction_suprema, validate)
+                       gl_dims, reduction_suprema, validate)
 from carpetdim.dimensions import _AxisProblem
 from carpetdim.pointwise import build_exceptional
 
@@ -236,17 +238,22 @@ def test_baranski_branches_on_exceptional_zero():
         assert diag["stationarity_residual"] <= 1e-12
 
 
-def test_gl_dims_needs_gl_class():
+def test_gl_dims_needs_gl_class(monkeypatch):
+    def refuse(self):
+        raise AssertionError("maximised a Baranski axis")
+
+    monkeypatch.setattr(_AxisProblem, "maximise", refuse)
     baranski = validate([([1, 4], [1, 2], 0, 0),
                          ([1, 4], [1, 2], [1, 2], [1, 2])])
     with pytest.raises(WrongClass):
         gl_dims(baranski)
     with pytest.raises(WrongClass):
-        gl_hausdorff(baranski)
+        gl_dims(build_exceptional("1/40"))
 
 
 def test_gl_hausdorff_three_map_and_interiority():
-    value, argmax = gl_hausdorff(gl3())
+    report = gl_dims(gl3())
+    value, argmax = report.dimH, report.argmax_p
     assert value == pytest.approx(GL3_DIMH, abs=1e-6)
     assert isinstance(argmax, ProbabilityVector)
     assert min(argmax) >= 1e-9
@@ -273,13 +280,51 @@ def test_ordering_invariant_on_random_systems():
         assert report.dimH <= report.dimB + 1e-9
         assert report.dimB <= report.dimA + 1e-9
         assert report.dimA <= 2.0 + 1e-9
+    for _ in range(30):
+        system = random_baranski_system(rng)
+        _, dimH, dimA = baranski_dims(system)
+        dimB = system.analysis.box[0]
+        assert dimH <= dimB + 1e-9
+        assert dimB <= dimA + 1e-9
+        assert dimA <= 2.0 + 1e-9
+
+
+def load_dims_oracle():
+    path = Path(__file__).parent / "oracles" / "dims_oracle.py"
+    spec = importlib.util.spec_from_file_location("dims_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_box_roots_match_the_brentq_oracle():
+    box_roots = load_dims_oracle().box_roots
+    rng = np.random.default_rng(99)
+
+    def as_floats(system):
+        return [tuple(float(v) for v in (m.r1, m.r2, m.d1, m.d2))
+                for m in system.maps]
+
+    for _ in range(20):
+        system = random_gl_system(rng)
+        d1, _ = box_roots(as_floats(system))
+        assert gl_dims(system).dimB == pytest.approx(d1, abs=1e-12)
+        assert system.analysis.box == system.analysis.axes[0].box
+    for _ in range(10):
+        system = random_baranski_system(rng)
+        roots = box_roots(as_floats(system))
+        for axis, expected in zip(system.analysis.axes, roots):
+            assert axis.box[0] == pytest.approx(expected, abs=1e-12)
+            assert axis.box[1] <= 1e-12
+        assert system.analysis.box[0] == max(axis.box[0]
+                                             for axis in system.analysis.axes)
 
 
 def test_gl_hausdorff_equals_baranski_d1():
     rng = np.random.default_rng(7)
     systems = [gl3()] + [random_gl_system(rng) for _ in range(5)]
     for system in systems:
-        value, _ = gl_hausdorff(system)
+        value = gl_dims(system).dimH
         directional, dimH, _ = baranski_dims(system)
         assert directional.d2 is None
         assert directional.d1 == pytest.approx(value, abs=1e-6)

@@ -12,6 +12,7 @@ from carpetdim import (DiagonalMap, EventuallyPeriodicWord, RangeError,
                        build_exceptional, few_large_tangents, gl_dims,
                        level_set_dim, pointwise_assouad_baranski,
                        pointwise_assouad_gl, symbolic_slice, validate)
+from carpetdim import geometry
 from carpetdim.dimensions import _AxisProblem
 
 HALF = Fraction(1, 2)
@@ -27,6 +28,8 @@ EXC40_PROJ2 = 0.929366693798885       # 4 b^s = 1
 EXC40_COLUMN_FIBER = 0.929366693798885   # 4 b^t = 1 (wide-column slice)
 EXC40_ROW_FIBER = 0.666611986299070      # a1^t + 2 a2^t = 1 (row slice)
 EXC40_D1 = 1.570175084313288
+# Frozen from tests/oracles/dims_oracle.py: dimB = max(D_1, D_2) = D_2.
+EXC40_DIMB = 1.595978680097956
 EXC40_A1 = EXC40_PROJ1 + EXC40_COLUMN_FIBER
 EXC40_A2 = EXC40_PROJ2 + EXC40_ROW_FIBER
 
@@ -205,7 +208,7 @@ def test_pointwise_baranski_wide_column_word():
     assert report.omega_class == "Omega1"
     assert report.fiber_dim == pytest.approx(EXC40_COLUMN_FIBER, abs=1e-12)
     assert report.tangent_dim == pytest.approx(EXC40_A1, abs=1e-12)
-    # the tangent term dominates the box estimate here
+    # the tangent term dominates the box dimension here
     assert report.pointwise_assouad == pytest.approx(EXC40_A1, abs=1e-12)
     assert report.regularity_warning is False
 
@@ -217,12 +220,31 @@ def test_pointwise_baranski_narrow_column_word():
     assert report.omega_class == "Omega2"
     assert report.fiber_dim == pytest.approx(EXC40_ROW_FIBER, abs=1e-12)
     assert report.tangent_dim == pytest.approx(EXC40_A2, abs=1e-12)
-    # here the empirical box estimate exceeds the tangent and wins the max
-    assert report.dimB_estimate is not None
-    assert report.pointwise_assouad == pytest.approx(report.dimB_estimate,
-                                                     abs=1e-12)
-    low, high = report.dimB_band
-    assert low <= report.dimB_estimate <= high
+    # the row slice of a narrow column attains D_2, which is dimB here
+    assert report.tangent_dim == pytest.approx(EXC40_DIMB, abs=1e-12)
+    assert report.pointwise_assouad == pytest.approx(EXC40_DIMB, abs=1e-12)
+    assert report.pointwise_assouad == max(system.analysis.box[0],
+                                           report.tangent_dim)
+
+
+def test_baranski_box_term_runs_no_grid_count(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted grid cells")
+
+    monkeypatch.setattr(geometry, "_grid_count", refuse)
+    monkeypatch.setattr(geometry, "box_dimension_estimate", refuse)
+    system = build_exceptional("1/40")
+    dim_b = system.analysis.box[0]
+    assert dim_b == pytest.approx(EXC40_DIMB, abs=1e-12)
+    for period in ((0,), (4,), (0, 4), (5, 9, 1)):
+        report = pointwise_assouad_baranski(system, word((), period))
+        assert report.pointwise_assouad == max(dim_b, report.tangent_dim)
+    # the level profile's lower cut-off is the same closed form
+    _, details = baranski_level_profile(system, 1.7, unverified=True)
+    assert details["dimB"] == dim_b
+    below, _ = baranski_level_profile(system, dim_b - 1e-9, unverified=True)
+    at, _ = baranski_level_profile(system, dim_b, unverified=True)
+    assert below is None and at is not None
 
 
 def test_pointwise_baranski_rejects_balanced_words():
