@@ -21,7 +21,9 @@ chi_j = chi_{j'} the value collapses to H(w)/chi_j(w).  Directional totals
 A_j = dimB eta_j(K) + t_j give dimA = max_j A_j, and dimB = max_j D_j, where
 D_j solves sum_i a_{j,i}^{s_j} b_i^{D_j - s_j} = 1 with a the axis-j ratios,
 b the orthogonal ones and s_j = dimB eta_j(K) (Baranski, Adv. Math. 2007);
-D_1 is the GatzourasLalley box dimension above.
+D_1 is the GatzourasLalley box dimension above.  D_j - s_j, like every
+Moran root and the two-group reduction suprema, is a root that moran's one
+Newton solver finds.
 
 Every Ledrappier-Young maximum, GL or Baranski, interior or boundary, comes
 from one deterministic solver in Gibbs form.  With a_l the axis-j ratio of
@@ -51,7 +53,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import OptimizerFailure, RangeError, WrongClass, WrongShape
-from .moran import solve_moran
+from .moran import _moran_root, solve_moran
 from .systems import (BARANSKI, GATZOURAS_LALLEY, CarpetSystem,
                       ProbabilityVector)
 
@@ -294,21 +296,16 @@ class AxisAnalysis:
 
     @cached_property
     def box(self):
-        """(D_j, residual): root of sum_i a_i^{s_j} b_i^{D - s_j} = 1, a and b
-        the axis-j and orthogonal ratios, by Newton steps up from s_j, where
-        the convex decreasing log of the sum is >= 0, until rounding."""
+        """(D_j, |sum_i a_i^{s_j} b_i^{D_j - s_j} - 1|), a and b the axis-j
+        and orthogonal ratios: D_j = s_j + t for moran's root t of the
+        weights a_i^{s_j} and ratios b_i."""
         s_j = self.proj[0]
-        log_a = np.log([float(m.ratio(self.j)) for m in self.system.maps])
-        log_b = np.log([float(m.ratio(3 - self.j)) for m in self.system.maps])
-        s, last = s_j, math.inf
-        for _ in range(_MAX_STEPS):
-            terms = np.exp(s_j * log_a + (s - s_j) * log_b)
-            total = float(terms.sum())
-            step = math.log(total) * total / -float(terms @ log_b)
-            if abs(step) <= _TOL * max(1.0, s) or abs(step) >= last:
-                return s, abs(total - 1.0)
-            s, last = s + step, abs(step)
-        raise OptimizerFailure("box dimension root not reached")
+        pairs = [(s_j * math.log(float(m.ratio(self.j))),
+                  math.log(float(m.ratio(3 - self.j))))
+                 for m in self.system.maps]
+        t = _moran_root([pairs])
+        return s_j + t, abs(math.fsum(math.exp(log_w + t * log_b)
+                                      for log_w, log_b in pairs) - 1.0)
 
     @cached_property
     def maximum(self):
@@ -434,46 +431,30 @@ def baranski_1d_reduction(system: CarpetSystem, p: float):
     return d1, d2, p0
 
 
-def _golden_max(fun, lo, hi, tol=1e-12):
-    """Maximize a unimodal function on [lo, hi] by golden-section search."""
-    if hi <= lo:
-        return lo, fun(lo)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    mid = 0.5 * (a + b)
-    return mid, fun(mid)
-
-
 def reduction_suprema(system: CarpetSystem):
     """Maxima of the two-group reduction curves over p in [0, 1].
 
     Both curves divide a concave numerator by a positive affine denominator,
-    so they are unimodal and golden-section search finds the exact maximum.
+    and the Dinkelbach identity gives their maxima in closed form:
+    sup D1 = sigma1 with alpha1^sigma1 + alpha2^sigma1 = 1, attained at
+    p = alpha2^sigma1, and sup D2 = log 4/(-log beta) + sigma2 with
+    alpha1^sigma2 + alpha2^sigma2 = 4, attained at p = alpha2^sigma2 / 4.
     Returns a dict with each curve's supremum and maximizer, the crossover
     weight p0, and ``dimH``: the supremum of the spliced curve (D1 left of
-    p0, D2 right of it), the reduction's own headline value.
+    p0, D2 right of it), each quasi-concave curve taken at its maximizer
+    clipped to its side of p0 -- the reduction's own headline value.
     """
+    alpha1, alpha2, beta = _two_group_shape(system)
     _, _, p0 = baranski_1d_reduction(system, 0.5)
-
-    def curve(index):
-        return lambda p: baranski_1d_reduction(system, p)[index]
-
-    x1, v1 = _golden_max(curve(0), 0.0, 1.0)
-    x2, v2 = _golden_max(curve(1), 0.0, 1.0)
+    log4, logs = math.log(4.0), (math.log(alpha1), math.log(alpha2))
+    sigma1 = solve_moran([alpha1, alpha2])
+    # sigma2 = c + t with min(alpha)^c = 4, so the root t starts from 0
+    c = log4 / min(logs)
+    sigma2 = c + _moran_root([[(c * v - log4, v) for v in logs]])
+    x1, x2 = alpha2 ** sigma1, alpha2 ** sigma2 / 4.0
     cut = min(max(p0, 0.0), 1.0)
-    _, left = _golden_max(curve(0), 0.0, cut)
-    _, right = _golden_max(curve(1), cut, 1.0)
-    return {"sup_D1": v1, "argmax_D1": x1, "sup_D2": v2, "argmax_D2": x2,
+    left = baranski_1d_reduction(system, min(x1, cut))[0]
+    right = baranski_1d_reduction(system, max(x2, cut))[1]
+    return {"sup_D1": sigma1, "argmax_D1": x1,
+            "sup_D2": log4 / -math.log(beta) + sigma2, "argmax_D2": x2,
             "p0": p0, "dimH": max(left, right)}

@@ -19,6 +19,11 @@ solved here in the log domain.  Windowed exponents are Hölder-subadditive,
 
 so for an eventually periodic sequence the large-window supremum converges to
 the exponent of one exact period; ``nonauto_assouad`` returns exactly that.
+
+Both equations, and the weighted ones behind the box roots D_j and the
+two-group reduction suprema in ``dimensions``, are roots of one convex
+decreasing g(t) = sum_k log sum_i w_ki r_ki^t with g(0) >= 0, and one
+monotone Newton iteration from t = 0 (``_moran_root``) solves them all.
 """
 
 from __future__ import annotations
@@ -26,11 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyInput, InvalidSystem
+from .errors import EmptyInput, InvalidSystem, OptimizerFailure
 
-_RESIDUAL_TOL = 1e-12
-_BISECT_TOL = 1e-10
-_NEWTON_STEPS = 5
+_STEP_CAP = 200       # Newton steps before OptimizerFailure
 
 
 def _clean_ratios(ratios) -> list[float]:
@@ -43,41 +46,41 @@ def _clean_ratios(ratios) -> list[float]:
     return rs
 
 
+def _moran_root(terms) -> float:
+    """Root t >= 0 of g(t) = sum_k log sum_i exp(log w_ki + t log r_ki).
+
+    ``terms`` holds, per k, the pairs (log w_ki, log r_ki), every log r_ki
+    < 0, so g is convex and strictly decreasing.  Given g(0) >= 0, Newton
+    steps from t = 0 rise monotonically to the root; the iteration stops at
+    the first step no longer above rounding, so g(0) = 0 returns exactly 0.
+    The sums over k are exactly rounded, so a window and its repeats take
+    identical steps.
+    """
+    t = 0.0
+    for _ in range(_STEP_CAP):
+        value, slope = [], []
+        for pairs in terms:
+            e = [log_w + t * log_r for log_w, log_r in pairs]
+            top = max(e)
+            p = [math.exp(x - top) for x in e]
+            z = math.fsum(p)
+            value.append(top + math.log(z))
+            slope.append(math.fsum(q * log_r for q, (_, log_r)
+                                   in zip(p, pairs)) / z)
+        step = -math.fsum(value) / math.fsum(slope)
+        if step <= 1e-15 * max(1.0, t):
+            return t
+        t += step
+    raise OptimizerFailure("no Moran root within %d Newton steps" % _STEP_CAP)
+
+
 def solve_moran(ratios) -> float:
     """Unique root of sum_i r_i^s = 1 over the given ratio multiset.
 
-    Bracketed bisection down to width 1e-10 followed by a few Newton steps;
-    the returned root has |sum r^s - 1| <= 1e-12.  A singleton multiset has
-    root exactly 0.
+    Newton in the log domain (``_moran_root``); the root is exact to
+    rounding, and a singleton multiset has root exactly 0.
     """
-    rs = _clean_ratios(ratios)
-    if len(rs) == 1:
-        return 0.0
-
-    def f(s):
-        return math.fsum(r ** s for r in rs) - 1.0
-
-    def fprime(s):
-        return math.fsum((r ** s) * math.log(r) for r in rs)
-
-    # At s=0 the sum is n > 1; n * r_max^s < 1 gives an upper bracket.
-    r_max = max(rs)
-    hi = math.log(len(rs)) / math.log(1.0 / r_max) + 1.0
-    lo = 0.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
-        fs = f(s)
-        if abs(fs) <= _RESIDUAL_TOL:
-            break
-        step = fs / fprime(s)
-        s = min(max(s - step, lo - _BISECT_TOL), hi + _BISECT_TOL)
-    return s
+    return _moran_root([[(0.0, math.log(r)) for r in _clean_ratios(ratios)]])
 
 
 @dataclass(frozen=True)
@@ -110,49 +113,15 @@ class ColumnSequence:
 def theta_window(window) -> float:
     """Root theta of prod_k (sum_{r in window[k]} r^theta) = 1.
 
-    ``window`` is a sequence of ratio multisets.  Solved in the log domain:
-    g(theta) = sum_k log(sum_r r^theta) is strictly decreasing with
-    g(0) = sum_k log(|window[k]|) >= 0.
+    ``window`` is a sequence of ratio multisets.  Solved in the log domain
+    by ``_moran_root``: g(theta) = sum_k log(sum_r r^theta) is convex and
+    strictly decreasing with g(0) = sum_k log(|window[k]|) >= 0; the root
+    is exact to rounding, and exactly 0 when every multiset is a singleton.
     """
     sets = [_clean_ratios(w) for w in window]
     if not sets:
         raise EmptyInput("empty window")
-    if all(len(w) == 1 for w in sets):
-        return 0.0
-
-    def g(theta):
-        return math.fsum(math.log(math.fsum(r ** theta for r in w))
-                         for w in sets)
-
-    def gprime(theta):
-        total = 0.0
-        for w in sets:
-            num = math.fsum((r ** theta) * math.log(r) for r in w)
-            den = math.fsum(r ** theta for r in w)
-            total += num / den
-        return total
-
-    top = math.fsum(math.log(len(w)) for w in sets)
-    bottom = math.fsum(math.log(1.0 / max(w)) for w in sets)
-    hi = top / bottom + 1.0
-    lo = 0.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
-        step = g(theta) / gprime(theta)
-        new = min(max(theta - step, lo - _BISECT_TOL), hi + _BISECT_TOL)
-        # stop on step size, not residual: the Newton map is then identical
-        # for a window and its concatenated repeats, so repeating a period
-        # reproduces the root bit for bit
-        if abs(new - theta) <= 1e-15 * max(1.0, abs(theta)):
-            return new
-        theta = new
-    return theta
+    return _moran_root([[(0.0, math.log(r)) for r in w] for w in sets])
 
 
 def nonauto_assouad(seq: ColumnSequence) -> float:

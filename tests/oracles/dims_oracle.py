@@ -143,6 +143,21 @@ def report_box(delta, label):
           % (label, d1, d2, max(d1, d2)))
 
 
+# Four cells of a 4 x 2 grid with sides from 1/1000 to 199/200: a map with
+# tiny width and height near 1 dominates the axis-2 sum, so Newton steps on
+# sum_i a_i^s b_i^(D - s) = 1 from D = s grow before they shrink.
+SLIVER_MAPS = [(9 / 25, 199 / 200, 0.0, 0.0),
+               (1 / 1000, 199 / 200, 9 / 25, 0.0),
+               (1 / 200, 1 / 250, 361 / 1000, 199 / 200),
+               (317 / 500, 199 / 200, 183 / 500, 0.0)]
+
+
+def report_sliver():
+    d1, d2 = box_roots(SLIVER_MAPS)
+    print("sliver grid carpet  D1=%r  D2=%r  dimB=%r"
+          % (d1, d2, max(d1, d2)))
+
+
 if __name__ == "__main__":
     report_gl3()
     for delta, label in [(0.0, "0"), (1.0 / 40.0, "1/40"),
@@ -150,3 +165,4 @@ if __name__ == "__main__":
         report_family(delta, label)
     for delta, label in [(0.0, "0"), (1.0 / 40.0, "1/40"), (1.0 / 7.0, "1/7")]:
         report_box(delta, label)
+    report_sliver()

@@ -16,6 +16,9 @@ def moran_root(ratios):
     return brentq(f, 0.0, 64.0, xtol=1e-15, rtol=8.9e-16)
 
 
+LARGE_MIXED = [0.98, 0.95, 0.9, 0.9, 0.6, 0.1, 0.001]
+
+
 def window_root(window):
     f = lambda t: sum(math.log(sum(r ** t for r in w)) for w in window) - 0.0
     return brentq(f, 0.0, 64.0, xtol=1e-15, rtol=8.9e-16)
@@ -42,3 +45,8 @@ if __name__ == "__main__":
           % moran_root([37 / 120] + [17 / 120] * 4))
     # 4 rows of beta = 9/40.
     print("root{9/40 x4}      = %.15f" % moran_root([9 / 40] * 4))
+    # Large roots: seven ratios of 0.95 (closed form log 7 / -log 0.95)
+    # and a mixed multiset dominated by ratios near 1.
+    print("root{0.95 x7}      = %.15f; closed %.15f"
+          % (moran_root([0.95] * 7), math.log(7) / -math.log(0.95)))
+    print("root{mixed large}  = %.15f" % moran_root(LARGE_MIXED))

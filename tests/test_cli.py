@@ -31,6 +31,16 @@ SQUARE4_CONFIG = {"maps": [
 EXC_DIMB = {"0": 1.722629596943400, "1/40": 1.595978680097956,
             "1/7": 1.006585318851378}
 
+# A 4 x 2 grid carpet with sides from 1/1000 to 199/200; its dimB is D_2,
+# frozen from the brentq oracle in tests/oracles/dims_oracle.py.
+SLIVER_CONFIG = {"maps": [
+    {"r1": [9, 25], "r2": [199, 200], "d1": [0, 1], "d2": [0, 1]},
+    {"r1": [1, 1000], "r2": [199, 200], "d1": [9, 25], "d2": [0, 1]},
+    {"r1": [1, 200], "r2": [1, 250], "d1": [361, 1000], "d2": [199, 200]},
+    {"r1": [317, 500], "r2": [199, 200], "d1": [183, 500], "d2": [0, 1]},
+]}
+SLIVER_DIMB = 1.9511446829793002
+
 ENVELOPE_KEYS = {"command", "input_digest", "results", "diagnostics",
                  "warnings"}
 
@@ -143,6 +153,20 @@ def test_dims_baranski_box_dimension(capsys, monkeypatch):
         assert envelope["results"]["dimB"] == pytest.approx(expected,
                                                             abs=1e-12)
         assert envelope["warnings"] == []
+
+
+def test_sliver_carpet_box_dimension(capsys, monkeypatch):
+    text = json.dumps(SLIVER_CONFIG)
+    code, envelope, _ = invoke(capsys, monkeypatch, ["dims"], stdin=text)
+    assert code == 0
+    results = envelope["results"]
+    assert results["dimB"] == pytest.approx(SLIVER_DIMB, abs=1e-12)
+    assert results["dimB"] >= results["dimH"]
+    code, envelope, _ = invoke(capsys, monkeypatch,
+                               ["pointwise", "--gamma", ":(0,2)"], stdin=text)
+    assert code == 0
+    assert envelope["results"]["pointwise_assouad"] == pytest.approx(
+        SLIVER_DIMB, abs=1e-12)
 
 
 def test_levelset_baranski_is_wrong_class(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Closed-form dimension layer: entropies, GL report, Baranski directional."""
 
+import functools
 import importlib.util
 import math
 from fractions import Fraction
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from carpetdim import (DiagonalMap, OptimizerFailure, ProbabilityVector,
                        RangeError, WrongClass, WrongShape,
@@ -29,6 +32,19 @@ EXC40_D2 = 1.595978680097956
 # Directional totals assembled from tests/oracles/moran_oracle.py roots.
 EXC40_A1 = 0.920784065313739 + 0.929366693798885
 EXC40_A2 = 0.929366693798885 + 0.666611986299070
+
+# A 4 x 2 grid carpet with sides from 1/1000 to 199/200.  Its box root D_2
+# (the dimB) is 1.9511446829793002 by the brentq oracle, above dimH
+# 1.924974580615449; Newton steps from D = s_2 grow before they shrink on it.
+SLIVER_MAPS = [
+    DiagonalMap(Fraction(9, 25), Fraction(199, 200), Fraction(0), Fraction(0)),
+    DiagonalMap(Fraction(1, 1000), Fraction(199, 200), Fraction(9, 25),
+                Fraction(0)),
+    DiagonalMap(Fraction(1, 200), Fraction(1, 250), Fraction(361, 1000),
+                Fraction(199, 200)),
+    DiagonalMap(Fraction(317, 500), Fraction(199, 200), Fraction(183, 500),
+                Fraction(0)),
+]
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -280,15 +296,9 @@ def test_ordering_invariant_on_random_systems():
         assert report.dimH <= report.dimB + 1e-9
         assert report.dimB <= report.dimA + 1e-9
         assert report.dimA <= 2.0 + 1e-9
-    for _ in range(30):
-        system = random_baranski_system(rng)
-        _, dimH, dimA = baranski_dims(system)
-        dimB = system.analysis.box[0]
-        assert dimH <= dimB + 1e-9
-        assert dimB <= dimA + 1e-9
-        assert dimA <= 2.0 + 1e-9
 
 
+@functools.cache
 def load_dims_oracle():
     path = Path(__file__).parent / "oracles" / "dims_oracle.py"
     spec = importlib.util.spec_from_file_location("dims_oracle", path)
@@ -297,21 +307,56 @@ def load_dims_oracle():
     return module
 
 
+def as_floats(system):
+    return [tuple(float(v) for v in (m.r1, m.r2, m.d1, m.d2))
+            for m in system.maps]
+
+
+@st.composite
+def grid_cells(draw):
+    """Cells of a random grid of 2 to 4 columns and rows whose sides reach
+    down to 1e-3 of the largest, so sliver cells mix with near-full ones."""
+    def sides():
+        raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=4))
+        scale = draw(st.floats(0.5, 0.999)) / math.fsum(raw)
+        return [v * scale for v in raw]
+
+    widths, heights = sides(), sides()
+    x = np.concatenate([[0.0], np.cumsum(widths)[:-1]])
+    y = np.concatenate([[0.0], np.cumsum(heights)[:-1]])
+    cells = [(a, b) for a in range(len(widths)) for b in range(len(heights))]
+    pick = draw(st.sets(st.sampled_from(cells), min_size=2,
+                        max_size=len(cells) - 1))
+    return [DiagonalMap(widths[a], heights[b], float(x[a]), float(y[b]))
+            for a, b in sorted(pick)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(grid_cells())
+@example(SLIVER_MAPS)
+def test_baranski_ordering_and_box_roots(maps):
+    system = validate(maps)
+    assume(system.klass == "Baranski")
+    _, dimH, dimA = baranski_dims(system)
+    dimB = system.analysis.box[0]
+    assert dimH <= dimB + 1e-9
+    assert dimB <= dimA + 1e-9
+    assert dimA <= 2.0 + 1e-9
+    roots = load_dims_oracle().box_roots(as_floats(system))
+    for axis, expected in zip(system.analysis.axes, roots):
+        assert axis.box[0] == pytest.approx(expected, abs=1e-12)
+
+
 def test_box_roots_match_the_brentq_oracle():
     box_roots = load_dims_oracle().box_roots
     rng = np.random.default_rng(99)
-
-    def as_floats(system):
-        return [tuple(float(v) for v in (m.r1, m.r2, m.d1, m.d2))
-                for m in system.maps]
-
     for _ in range(20):
         system = random_gl_system(rng)
         d1, _ = box_roots(as_floats(system))
         assert gl_dims(system).dimB == pytest.approx(d1, abs=1e-12)
         assert system.analysis.box == system.analysis.axes[0].box
-    for _ in range(10):
-        system = random_baranski_system(rng)
+    systems = [random_baranski_system(rng) for _ in range(10)]
+    for system in systems + [validate(SLIVER_MAPS)]:
         roots = box_roots(as_floats(system))
         for axis, expected in zip(system.analysis.axes, roots):
             assert axis.box[0] == pytest.approx(expected, abs=1e-12)

@@ -1,7 +1,7 @@
 """Moran roots and windowed exponents.
 
 Reference constants come from tests/oracles/moran_oracle.py (scipy brentq on
-the raw equations, independent of the package's bisection+Newton solver).
+the raw equations, independent of the package's log-domain Newton solver).
 """
 
 import math
@@ -15,6 +15,8 @@ from carpetdim import (ColumnSequence, EmptyInput, InvalidSystem,
 
 # frozen from tests/oracles/moran_oracle.py
 ROOT_THIRD_SIXTH_SIXTH = 0.722629596943400
+LARGE_MIXED = [0.98, 0.95, 0.9, 0.9, 0.6, 0.1, 0.001]
+ROOT_LARGE_MIXED = 25.599067058676180
 
 
 def test_solve_moran_pair_of_halves():
@@ -32,6 +34,19 @@ def test_solve_moran_quarters():
 
 def test_solve_moran_singleton_is_zero():
     assert solve_moran([0.37]) == 0.0
+
+
+def test_large_roots():
+    # Ratios near 1 put the root far from 0, where Newton steps from 0 are
+    # long; a stop rule that quits once the steps stop shrinking misses here.
+    seven = math.log(7) / -math.log(0.95)
+    assert seven > 37.9
+    assert solve_moran([0.95] * 7) == pytest.approx(seven, rel=1e-14)
+    assert theta_window([[0.95] * 7]) == pytest.approx(seven, rel=1e-14)
+    assert solve_moran(LARGE_MIXED) == pytest.approx(ROOT_LARGE_MIXED,
+                                                     rel=1e-14)
+    assert theta_window([LARGE_MIXED]) == pytest.approx(ROOT_LARGE_MIXED,
+                                                        rel=1e-14)
 
 
 def test_solve_moran_errors():
