@@ -9,6 +9,9 @@ fixtures.  All counting is symbolic over words; nothing is rasterized.
 Every cover comes from one engine, ``_refine``, which refines numpy blocks
 of cylinder rectangles until a stop rule holds; each caller supplies only
 its maps per level, its stop and pruning rules and what it does with a leaf.
+Grid counts stop a cylinder early once it lies inside one grid row or
+column (a band) and finish it with a one-dimensional refinement along that
+row, which gives the cells of full refinement at the cost of the cells.
 """
 
 from __future__ import annotations
@@ -170,9 +173,9 @@ def _refine(root, children, done, keep=None):
             return
         parents, depth, (r1, r2, d1, d2) = stack.pop()
         n, k = parents[0].size, r1.size
-        x0, y0, w, h = (np.repeat(a, k) for a in parents[:4])
-        r1, r2, d1, d2 = (np.tile(a, n) for a in (r1, r2, d1, d2))
-        block = (x0 + w * d1, y0 + h * d2, w * r1, h * r2)
+        x0, y0, w, h = (a[:, None] for a in parents[:4])
+        block = tuple(a.ravel() for a in
+                      (x0 + w * d1, y0 + h * d2, w * r1, h * r2))
         if len(parents) > 4:
             block += (np.column_stack((np.repeat(parents[4], k, axis=0),
                                        np.tile(np.arange(k), n))),)
@@ -423,23 +426,131 @@ def psi_estimate(system, delta, samples=16, seed=0, words=None,
     return best
 
 
+def _band_rates(system):
+    """-1 / log r_max of each axis's largest ratio, which turns a long side
+    into the levels of refinement left below it; None when some map leaves
+    the unit square, since bands rely on descendants lying inside their
+    ancestors in exact arithmetic."""
+    if not all(0.0 <= float(d) and float(d) + float(r) <= 1.0
+               for m in system.maps for r, d in ((m.r1, m.d1), (m.r2, m.d2))):
+        return None
+    return tuple(-1.0 / math.log(max(float(m.ratio(axis))
+                                     for m in system.maps))
+                 for axis in (1, 2))
+
+
+def _band_guard(long, short, s, rate):
+    """How far beyond a band's far edge its row must still reach.
+
+    Descendants lie inside the band in exact arithmetic, taken from its
+    computed edges.  In floats a band with sides ``long`` > s >= ``short``
+    has at most m = ceil(rate * log(long / s)) + 2 levels below it (one to
+    spare).  Each level rounds a sum of values below 2, by at most u =
+    2^-53, and the side's products add at most 3 m u short in all; the far
+    edge's own sum, the guarded sum and the map check ``_band_rates`` makes
+    (d + r <= 1 after rounding) account for the rest of
+    u * (m + 3 + 4 m short).
+    """
+    levels = np.ceil(rate * np.log(long / s)) + 2.0
+    return 2.0 ** -53 * (levels + 3.0 + 4.0 * levels * short)
+
+
+def _span_keys(ax, bx, ay, by, span):
+    """Sorted distinct keys of every cell from (ax, ay) to (bx, by) per row,
+    one offset at a time; a key is linear in the cell indices, so an offset
+    cell's key is the corner's key plus the offset's."""
+    if not ax.size:
+        return np.empty(0, dtype=np.int64)
+    base = _cell_keys(ax, ay, span)
+    ex, ey = bx - ax, by - ay
+    keys = [base]
+    for dx in range(int(ex.max()) + 1):
+        for dy in range(int(ey.max()) + 1):
+            if dx or dy:
+                hit = (ex >= dx) & (ey >= dy)
+                step = _cell_keys(np.array([dx]), np.array([dy]), span)
+                keys.append(base[hit] + step)
+    return _distinct(np.concatenate(keys))
+
+
 def _grid_count(system, s):
-    """Number of side-s grid cells touched by the cylinder cover at scale s."""
+    """Number of side-s grid cells touched by the cylinder cover at scale s.
+
+    Cylinders are refined until both sides are at most s; each leaf touches
+    the cells from the one under its lower-left corner to the one under its
+    upper-right corner, with the top row and column clamped.
+
+    A cylinder with one side at most s and the other longer is a band once
+    that short side lies in one grid row (or column) with room to spare:
+    every descendant then stays in that row, and its extent along the row
+    depends only on the (ratio, offset) pairs of its letters on that axis,
+    taken with the same float steps.  So a band's cells are its row times a
+    one-dimensional refinement over the distinct pairs, which ``_refine``
+    runs with the row index in the second slot; the count is the one full
+    refinement would give, with work that follows the cells rather than the
+    thinnest cylinders.  The near edge needs no guard, since
+    fl(y0 + h * d) >= y0; the far edge needs ``_band_guard``, which exceeds
+    every cell below about 2^-51, so there nothing forms a band and the
+    count is full refinement.
+    """
     maps = _map_steps(system.maps)
     inv = 1.0 / s
     top = int(math.ceil(inv)) - 1
+    rates = _band_rates(system)
+
+    def index(v):
+        return np.minimum(np.trunc(v * inv), top)
+
+    def done(x0, y0, w, h, depth):
+        wide, tall = w > s, h > s
+        stop = ~(wide | tall)
+        if rates is not None:
+            thin = np.flatnonzero(wide ^ tall)
+            if thin.size:
+                row = wide[thin]
+                lo = np.where(row, y0[thin], x0[thin])
+                side = np.where(row, h[thin], w[thin])
+                guard = _band_guard(np.where(row, w[thin], h[thin]), side,
+                                    s, np.where(row, *rates))
+                stop[thin] = index(lo) == index(lo + side + guard)
+        return stop
+
+    # per axis: the distinct (ratio, offset) pairs, and the buffered bands
+    # as (start, row or column index, length, 1) blocks
+    pairs = [_steps((r, 1, d, 0) for r, d in sorted(
+        {(float(m.ratio(axis)), float(m.offset(axis))) for m in system.maps}))
+        for axis in (1, 2)]
+    bands = [[], []]
     cells = [np.empty(0, dtype=np.int64)]
-    for x0, y0, w, h in _refine(_root(), maps,
-                                lambda x0, y0, w, h, n: (w <= s) & (h <= s)):
-        ax, bx, ay, by = (np.minimum(np.trunc(v * inv), top)
-                          for v in (x0, x0 + w, y0, y0 + h))
-        # every cell from (ax, ay) to (bx, by), one offset at a time
-        keys = []
-        for dx in range(int((bx - ax).max()) + 1):
-            for dy in range(int((by - ay).max()) + 1):
-                hit = (ax + dx <= bx) & (ay + dy <= by)
-                keys.append(_cell_keys(ax[hit] + dx, ay[hit] + dy, top + 1))
-        cells.append(_distinct(np.concatenate(keys)))
+
+    def flush(axis):
+        block = tuple(np.concatenate(a) for a in zip(*bands[axis - 1]))
+        bands[axis - 1].clear()
+        for lo, line, length, _ in _refine(block, pairs[axis - 1],
+                                           lambda x0, y0, w, h, n: w <= s):
+            ends = index(lo), index(lo + length)
+            cells.append(_span_keys(*ends, line, line, top + 1) if axis == 1
+                         else _span_keys(line, line, *ends, top + 1))
+
+    for block in _refine(_root(), maps, done):
+        x0, y0, w, h = block
+        leaf = (w <= s) & (h <= s)
+        if not leaf.all():
+            for axis, band, start, line, length in (
+                    (1, ~leaf & (h <= s), x0, y0, w),
+                    (2, ~leaf & (w <= s), y0, x0, h)):
+                if band.any():
+                    bands[axis - 1].append((start[band], index(line[band]),
+                                            length[band],
+                                            np.ones(int(band.sum()))))
+                    if sum(b[0].size for b in bands[axis - 1]) >= _CHUNK:
+                        flush(axis)
+            x0, y0, w, h = _rows(block, leaf)
+        cells.append(_span_keys(index(x0), index(x0 + w), index(y0),
+                                index(y0 + h), top + 1))
+    for axis in (1, 2):
+        if bands[axis - 1]:
+            flush(axis)
     return int(_distinct(np.concatenate(cells)).size)
 
 
@@ -465,14 +576,14 @@ def box_dimension_estimate(system, k_lo=4, k_hi=9):
 
 
 def scale_count_table(system, ks):
-    """(scale, grid count) rows for the dyadic scales 2^-k, k in ks."""
-    rows = []
-    for k in ks:
-        if k != int(k) or int(k) < 1:
-            raise RangeError("scale exponents must be integers >= 1")
-        k = int(k)
-        rows.append((2.0 ** -k, _grid_count(system, 2.0 ** -k)))
-    return rows
+    """(scale, grid count) rows for the dyadic scales 2^-k, k in ks.
+
+    Every exponent is checked before any scale is counted."""
+    ks = list(ks)
+    if any(not float(k).is_integer() or k < 1 for k in ks):
+        raise RangeError("scale exponents must be integers >= 1")
+    return [(2.0 ** -int(k), _grid_count(system, 2.0 ** -int(k)))
+            for k in ks]
 
 
 # ------------------------------------------------------ packing harness

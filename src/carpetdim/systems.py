@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -361,22 +362,42 @@ def column_word(system: CarpetSystem, word, axis: int = 1) -> tuple:
         raise IndexError("letter outside alphabet: %r" % (exc.args[0],)) from exc
 
 
+def _omega(system: CarpetSystem, counts):
+    """Lyapunov ratio class of a word whose letters occur ``counts`` times
+    (map index -> count): (omega, chi_1 / chi_2) with chi_j = -sum_i q_i
+    log r_j,i for the letter frequencies q.
+
+    omega is "Omega1" when chi_1 < chi_2 (contraction is faster in the
+    vertical), "Omega2" when chi_1 > chi_2 and "Omega0" on a tie.  Exact
+    systems decide by comparing prod_i r1_i^n_i with prod_i r2_i^n_i in
+    Fractions, so only a true tie is one; float systems call
+    |chi_1 / chi_2 - 1| <= 1e-12 a tie.
+    """
+    n = sum(counts.values())
+    chi1 = -math.fsum(c / n * math.log(float(system.maps[i].r1))
+                      for i, c in counts.items())
+    chi2 = -math.fsum(c / n * math.log(float(system.maps[i].r2))
+                      for i, c in counts.items())
+    ratio = chi1 / chi2
+    if system.exact:
+        p1 = math.prod(system.maps[i].r1 ** c for i, c in counts.items())
+        p2 = math.prod(system.maps[i].r2 ** c for i, c in counts.items())
+        order = (p1 > p2) - (p1 < p2)
+    else:
+        order = 0 if abs(ratio - 1.0) <= _TOL else (1 if ratio < 1.0 else -1)
+    if order == 0:
+        return "Omega0", ratio
+    return ("Omega1" if order > 0 else "Omega2"), ratio
+
+
 def classify_word(system: CarpetSystem, gamma: EventuallyPeriodicWord):
     """Asymptotic Lyapunov ratio class of gamma.
 
     Returns (omega, gamma_inf) where gamma_inf = chi_1(q)/chi_2(q) for the
     period frequency vector q, and omega is "Omega1" when the limit ratio is
     < 1 (contraction is asymptotically faster in the vertical), "Omega2"
-    when > 1, and "Omega0" on a tie within 1e-12.
+    when > 1, and "Omega0" on a tie: an exact one on exact systems, within
+    1e-12 on float ones.
     """
     gamma.check_alphabet(system)
-    n = len(gamma.period)
-    q = {i: gamma.period.count(i) / n for i in set(gamma.period)}
-    chi1 = -math.fsum(f * math.log(float(system.maps[i].r1))
-                      for i, f in q.items())
-    chi2 = -math.fsum(f * math.log(float(system.maps[i].r2))
-                      for i, f in q.items())
-    gamma_inf = chi1 / chi2
-    if abs(gamma_inf - 1.0) <= _TOL:
-        return "Omega0", gamma_inf
-    return ("Omega1" if gamma_inf < 1.0 else "Omega2"), gamma_inf
+    return _omega(system, Counter(gamma.period))

@@ -3,11 +3,14 @@
 Run directly to regenerate the constants frozen into test_geometry.py and
 test_acceptance.py.  Avoids the package entirely: pseudo-cylinder leaf counts
 come from a direct recursion over raw column-ratio lists, covering counts from
-a greedy interval sweep over explicit point sets.
+a greedy interval sweep over explicit point sets, and grid counts from a
+brute-force refinement of every cylinder in both dimensions.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def threshold_leaves(start, limit, ratios):
@@ -25,6 +28,34 @@ def greedy_cover(points, diameter):
             count += 1
             anchor = p
     return count
+
+
+def grid_count(maps, s):
+    """Side-s grid cells touched by the cylinder cover at scale s.
+
+    ``maps`` are (r1, r2, d1, d2) floats.  Every cylinder is split, level by
+    level, until both of its sides are at most s, with the float steps
+    x0 + w*d then w*r on each axis; a leaf touches the cells from the one
+    under its lower-left corner to the one under its upper-right corner,
+    cell indices truncated and clamped to the top row and column.
+    """
+    r1, r2, d1, d2 = (np.array(col, dtype=float) for col in zip(*maps))
+    inv = 1.0 / s
+    top = math.ceil(inv) - 1
+    x0, y0, w, h = (np.array([v]) for v in (0.0, 0.0, 1.0, 1.0))
+    cells = set()
+    while x0.size:
+        leaf = (w <= s) & (h <= s)
+        corners = (np.minimum(np.trunc(v * inv), top).astype(int).tolist()
+                   for v in (x0[leaf], x0[leaf] + w[leaf],
+                             y0[leaf], y0[leaf] + h[leaf]))
+        for ax, bx, ay, by in zip(*corners):
+            cells.update((i, j) for i in range(ax, bx + 1)
+                         for j in range(ay, by + 1))
+        x0, y0, w, h = (v[~leaf][:, None] for v in (x0, y0, w, h))
+        x0, y0, w, h = ((x0 + w * d1).ravel(), (y0 + h * d2).ravel(),
+                        (w * r1).ravel(), (h * r2).ravel())
+    return len(cells)
 
 
 if __name__ == "__main__":

@@ -7,11 +7,15 @@ tests/oracles/dims_oracle.py.  Slopes and distances produced by the package
 itself are pinned as regressions next to the tolerance that matters.
 """
 
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carpetdim import (DiagonalMap, EmptyInput, EventuallyPeriodicWord,
                        InvalidPacking, PointCloud, RangeError, Rect, WrongClass,
@@ -24,7 +28,9 @@ from carpetdim import (DiagonalMap, EmptyInput, EventuallyPeriodicWord,
                        scale_count_table, slice_cloud, tangent_cloud, validate,
                        write_scale_counts_csv)
 from carpetdim.dimensions import _AxisProblem
-from carpetdim.geometry import _packing_constant
+from carpetdim.geometry import (_band_guard, _band_rates, _grid_count,
+                                _packing_constant)
+from test_dimensions import random_baranski_system
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -541,6 +547,102 @@ def test_scale_count_table_and_csv(tmp_path):
         scale_count_table(system, (0,))
     with pytest.raises(RangeError):
         scale_count_table(system, (2.5,))
+
+
+def test_scale_count_table_checks_every_exponent_first(monkeypatch):
+    from carpetdim import geometry
+
+    counted = []
+    monkeypatch.setattr(geometry, "_grid_count",
+                        lambda system, s: counted.append(s) or 0)
+    for ks in ((10, 0), (4, 2.5), (3, -1, 5), (6, math.nan), (7, math.inf)):
+        with pytest.raises(RangeError):
+            scale_count_table(gl3(), ks)
+    assert counted == []
+    assert scale_count_table(gl3(), iter((4, 5))) == [(0.0625, 0), (0.03125, 0)]
+    assert counted == [0.0625, 0.03125]
+
+
+def load_geometry_oracle():
+    path = Path(__file__).parent / "oracles" / "geometry_oracle.py"
+    spec = importlib.util.spec_from_file_location("geometry_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@st.composite
+def small_grid_carpets(draw):
+    """Cells of a random grid of 2 or 3 columns and rows with sides down to
+    about 1/100: mixed carpets put wide and tall cells side by side (the
+    Baranski shapes), flat ones keep every row lower than the narrowest
+    column (the Gatzouras-Lalley shapes)."""
+    def sides(total):
+        raw = draw(st.lists(st.floats(0.02, 1.0), min_size=2, max_size=3))
+        return [v * total / math.fsum(raw) for v in raw]
+
+    widths = sides(draw(st.floats(0.5, 0.999)))
+    total = draw(st.floats(0.5, 0.999))
+    if draw(st.booleans()):
+        total = min(total, 0.9 * min(widths))
+    heights = sides(total)
+    x = np.concatenate([[0.0], np.cumsum(widths)[:-1]])
+    y = np.concatenate([[0.0], np.cumsum(heights)[:-1]])
+    cells = [(a, b) for a in range(len(widths)) for b in range(len(heights))]
+    pick = draw(st.sets(st.sampled_from(cells), min_size=2))
+    return [(widths[a], heights[b], float(x[a]), float(y[b]))
+            for a, b in sorted(pick)]
+
+
+# a wide band whose top, and the tops of its descendants along map 1, lie
+# on the grid line y = 1/2; and a wide band in the clamped top row
+BAND_ON_GRID_LINE = [(0.75, 0.25, 0.0, 0.25), (0.25, 0.5, 0.75, 0.5)]
+BAND_IN_TOP_ROW = [(0.75, 0.25, 0.0, 0.75), (0.25, 0.5, 0.75, 0.0)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(small_grid_carpets(), st.integers(1, 5))
+@example(BAND_ON_GRID_LINE, 3)
+@example(BAND_IN_TOP_ROW, 2)
+def test_grid_count_matches_full_refinement(maps, k):
+    expected = load_geometry_oracle().grid_count(maps, 2.0 ** -k)
+    assert _grid_count(validate(maps), 2.0 ** -k) == expected
+
+
+def test_band_guard_exceeds_the_drift_of_descendant_tops():
+    # a band one ulp below the grid line y = 1/2 whose descendants along
+    # map 1 (d2 + r2 <= 1) stay below the line in exact arithmetic, yet
+    # reach it in floats after 18 levels: the far edge needs a guard, and
+    # one proportional to the cell side would vanish at fine scales
+    band = 0.4108643880402178, 0.08913561195978212
+    r2, d2 = 0.8440158053655988, 0.15598419463440116
+    system = validate([(0.9, band[1], 0.0, band[0]), (0.9, r2, 0.1, d2)])
+    assert Fraction(d2) + Fraction(r2) <= 1
+    (y0, h), drift = band, 0.0
+    assert y0 + h < 0.5
+    rate = _band_rates(system)[0]
+    for n in range(1, 41):
+        y0, h = y0 + h * d2, h * r2
+        drift = max(drift, y0 + h - sum(band))
+        # the shortest wide band with n levels left: long side s / 0.9^(n-1)
+        for k in (1, 10, 30, 60):
+            s = 2.0 ** -k
+            assert _band_guard(s / 0.9 ** (n - 1), band[1], s, rate) > drift
+    assert drift > 0.0
+    # a map outside the unit square voids the containment bands rely on
+    assert _band_rates(validate([(0.5, 0.5, 0, 0), (0.5, 0.5, 0.6, 0)])) \
+        is None
+
+
+def test_grid_counts_on_sliver_carpets_frozen():
+    # computed once by the former engine, which refined every cylinder
+    # until both sides were at most s: draw 2 at k = 5 took it 43 s, draw
+    # 4 at k = 4 took 45 s, and draw 4 at k = 5 did not finish in 37 min
+    rng = np.random.default_rng(2024)
+    draws = [random_baranski_system(rng) for _ in range(5)]
+    assert [_grid_count(draws[d], 2.0 ** -k)
+            for d, k in ((0, 10), (1, 10), (2, 5), (4, 4))] == \
+        [194319, 12138, 810, 208]
 
 
 def test_box_dimension_estimate_brackets_truth():

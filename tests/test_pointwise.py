@@ -298,6 +298,17 @@ def test_few_large_tangents_needs_separation():
         few_large_tangents(build_exceptional(0))
 
 
+def test_few_large_tangents_orientation_is_exact():
+    # map 1 is wider than tall only beyond double precision: the exact
+    # orientation check sees both kinds of map, and the float maximisation
+    # then finds no axis-1 words, which is reported rather than misread
+    wide = Fraction(10 ** 17 + 1, 3 * 10 ** 17)
+    system = validate([(QUARTER, HALF, 0, 0),
+                       (wide, Fraction(1, 3), QUARTER, HALF)])
+    with pytest.raises(Unsupported, match="double precision"):
+        few_large_tangents(system)
+
+
 def test_few_large_tangents_wrong_class():
     bad = validate([
         DiagonalMap(HALF, QUARTER, Fraction(0), Fraction(0)),

@@ -171,6 +171,29 @@ def test_classify_word_exceptional_wide_column():
     assert gamma_inf == pytest.approx(math.log(3) / math.log(4), abs=1e-12)
 
 
+def near_square_pair(exact=True):
+    """A tall map and a map wider than tall by 1/(3 * 10^17) of its height,
+    which double precision cannot see."""
+    wide = Fraction(10 ** 17 + 1, 3 * 10 ** 17)
+    maps = [(QUARTER, HALF, 0, 0), (wide, Fraction(1, 3), QUARTER, HALF)]
+    if not exact:
+        maps = [tuple(float(v) for v in m) for m in maps]
+    return validate(maps)
+
+
+def test_classify_word_is_exact_on_exact_systems():
+    system = near_square_pair()
+    assert system.klass == "Baranski" and system.exact
+    assert float(system.maps[1].r1) == float(system.maps[1].r2)
+    omegas = [classify_word(system, EventuallyPeriodicWord((), period))[0]
+              for period in ((1,), (0,), (1, 1, 0))]
+    assert omegas == ["Omega1", "Omega2", "Omega2"]
+    # float systems keep the 1e-12 tie
+    floats = near_square_pair(exact=False)
+    omega, gamma_inf = classify_word(floats, EventuallyPeriodicWord((), (1,)))
+    assert (omega, gamma_inf) == ("Omega0", 1.0)
+
+
 def test_classify_word_ignores_preperiod():
     system = build_exceptional(0)
     plain = classify_word(system, EventuallyPeriodicWord((), (4, 8)))
