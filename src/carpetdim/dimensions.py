@@ -17,7 +17,11 @@ scalar root-findings and one simplex maximization:
 For a Baranski system the two axes compete.  The axis-j value s_j(w) (same
 shape with j and the orthogonal axis j' swapped in) is maximized over
 P_j = {w : chi_j(w) <= chi_{j'}(w)} and dimH = max_j d_j.  On the boundary
-chi_j = chi_{j'} the value collapses to H(w)/chi_j(w).  Directional totals
+chi_j = chi_{j'} the value collapses to H(w)/chi_j(w).  P_j has interior
+when some map is longer along axis j than across it, or every map is
+square (orientations come from systems, exact on Fraction input); else
+d_j is None.  When those maps are square in floats, P_j rounds to the face
+they span and d_j is the flat maximum over it.  Directional totals
 A_j = dimB eta_j(K) + t_j give dimA = max_j A_j, and dimB = max_j D_j, where
 D_j solves sum_i a_{j,i}^{s_j} b_i^{D_j - s_j} = 1 with a the axis-j ratios,
 b the orthogonal ones and s_j = dimB eta_j(K) (Baranski, Adv. Math. 2007);
@@ -126,19 +130,30 @@ def entropy_stats(system: CarpetSystem, p):
 class _AxisProblem:
     """The axis-j maximisation in Gibbs form (see the module docstring).
     Maps are sorted by axis-j class l, of ratio a_l; b_i is the orthogonal
-    ratio of map i.  A slice is the tuple (theta, psi, (s, kappa, w))."""
+    ratio of map i; when P_j rounds to a face, only its maps take part.  A
+    slice is the tuple (theta, psi, (s, kappa, w))."""
 
     def __init__(self, system, j):
         lookup = system.class_index(j)
-        self.order = np.argsort([lookup[i] for i in range(len(system.maps))],
-                                kind="stable")
-        self.cls = np.array([lookup[int(i)] for i in self.order])
-        self.starts = np.flatnonzero(np.diff(self.cls, prepend=-1))
-        self.log_a = np.log([float(c.ratio) for c in system.classes(j)])
-        self.log_b = np.log([float(system.maps[i].ratio(3 - j))
-                             for i in self.order])
-        ratio = self.log_a[self.cls] / self.log_b   # theta of a point mass
-        self.lo, self.hi = float(ratio.min()), float(ratio.max())
+        self.n = len(system.maps)
+        cls = np.array([lookup[i] for i in range(self.n)])
+        log_a = np.log([float(c.ratio) for c in system.classes(j)])[cls]
+        log_b = np.log([float(m.ratio(3 - j)) for m in system.maps])
+        theta = log_a / log_b                       # theta of a point mass
+        # the interior of P_j and its float face: see the module docstring
+        orientation = system.orientation
+        self.interior = (1 if j == 1 else -1) in orientation \
+            or not any(orientation)
+        members = (np.flatnonzero(theta == 1.0)
+                   if theta.min() == 1.0 < theta.max() else np.arange(self.n))
+        self.order = members[np.argsort(cls[members], kind="stable")]
+        first = np.diff(cls[self.order], prepend=-1) != 0   # class starts
+        self.cls = np.cumsum(first) - 1
+        self.starts = np.flatnonzero(first)
+        self.log_a = log_a[self.order][self.starts]
+        self.log_b = log_b[self.order]
+        theta = theta[self.order]
+        self.lo, self.hi = float(theta.min()), float(theta.max())
         self.iterations = 0
 
     def gibbs(self, s, kappa, theta):
@@ -200,7 +215,7 @@ class _AxisProblem:
         theta_hi <= 1); the slice maximum need not be unimodal, so _GRID
         slices bracket roots that are a grid step apart or more.  The
         boundary theta = 1 is a candidate when psi(1) >= 0."""
-        if self.lo > 1.0 or self.lo == 1.0 < self.hi:
+        if not self.interior:
             return None
         if self.lo == self.hi:
             return self._result(*self.slice(self.lo))
@@ -249,7 +264,7 @@ class _AxisProblem:
         if boundary:
             normal = w * (log_a - self.log_b - w @ (log_a - self.log_b))
             tangent -= (tangent @ normal) / (normal @ normal) * normal
-        out = np.empty_like(w)
+        out = np.zeros(self.n)
         out[self.order] = w
         return s, tuple(out.tolist()), MappingProxyType({
             "iterations": self.iterations, "boundary": boundary,

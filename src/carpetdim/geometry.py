@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from .errors import (EmptyInput, InvalidPacking, RangeError, WrongClass,
                      WrongShape)
 from .systems import (BARANSKI, GATZOURAS_LALLEY, DiagonalMap,
-                      EventuallyPeriodicWord, column_word)
+                      EventuallyPeriodicWord, _omega, column_word)
 
 _EPS = 1e-12
 _CHUNK = 4096       # most child rows _refine makes at once; bounds its memory
@@ -108,8 +107,8 @@ class PointCloud:
 
 def _compose(maps, one=1.0):
     """(x0, y0, w, h) of the composition of ``maps``, outermost first: the
-    rectangle of their cylinder.  ``one`` picks the arithmetic, 1.0 for
-    floats or Fraction(1) for exact rationals.
+    rectangle of their cylinder.  ``one`` = 1.0 computes in floats, 1 in
+    the entries' own arithmetic (exact on Fraction maps).
     """
     x = y = 0 * one
     w = h = one
@@ -133,11 +132,9 @@ def _point_at(system, gamma: EventuallyPeriodicWord):
     in Fraction arithmetic and round to float once at the end.
     """
     gamma.check_alphabet(system)
-    one = Fraction(1) if system.exact else 1.0
-    px, py, pw, ph = _compose((system.maps[i] for i in gamma.period), one)
-    x, y, w, h = _compose((system.maps[i] for i in gamma.preperiod), one)
-    return (float(x + w * px / (one - pw)),
-            float(y + h * py / (one - ph)))
+    px, py, pw, ph = _compose((system.maps[i] for i in gamma.period), 1)
+    x, y, w, h = _compose((system.maps[i] for i in gamma.preperiod), 1)
+    return float(x + w * px / (1 - pw)), float(y + h * py / (1 - ph))
 
 
 # ------------------------------------------------------- refinement engine
@@ -258,7 +255,8 @@ def approximate_square(system, gamma: EventuallyPeriodicWord,
                        k: int) -> ApproxSquare:
     """The depth-k approximate square around the point coded by gamma.
 
-    The length-k cylinder is extended along its longer axis by projected
+    The length-k cylinder is extended along its longer axis, which the
+    orientation class of its word decides (axis 1 on a tie), by projected
     letters of gamma for as long as the extended side stays at least the
     other side, which leaves a rectangle of aspect ratio between 1 and the
     reciprocal of the smallest ratio on the extended axis.
@@ -268,7 +266,7 @@ def approximate_square(system, gamma: EventuallyPeriodicWord,
         raise RangeError("k must be >= 1")
     base = gamma.prefix(k)
     _, _, w, h = _compose(system.maps[i] for i in base)
-    axis = 1 if w >= h * (1.0 - _EPS) else 2
+    axis = 2 if _omega(system, base)[0] == "Omega2" else 1
     limit = h if axis == 1 else w
     grow = w if axis == 1 else h
     letters = []
@@ -588,11 +586,10 @@ def scale_count_table(system, ks):
 
 # ------------------------------------------------------ packing harness
 
-@lru_cache(maxsize=16)
 def _packing_constant(system):
-    """Comparability constant calibrated once per system: the largest
-    packing sum over a fixed family of cylinder packings at the exponent
-    dimA + 0.01, padded by 5 percent."""
+    """Comparability constant, kept at ``system.packing_constant``: the
+    largest packing sum over a fixed family of cylinder packings at the
+    exponent dimA + 0.01, padded by 5 percent."""
     alpha = system.analysis.dimA + 0.01
     maps = _map_steps(system.maps)
     worst = 1.0
@@ -636,7 +633,7 @@ def packing_check(system, ball, packing, alpha) -> bool:
             if math.hypot(px - qx, py - qy) < (pr + qr) * (1.0 - 1e-9):
                 raise InvalidPacking("discs %d and %d overlap" % (s, t))
     total = math.fsum(pr ** float(alpha) for _, _, pr in discs)
-    return total <= _packing_constant(system) * R ** float(alpha)
+    return total <= system.packing_constant * R ** float(alpha)
 
 
 # ------------------------------------------------------ clouds and tangents

@@ -16,8 +16,7 @@ from .dimensions import baranski_dims, gl_dims
 from .errors import InvalidSystem, RangeError, Unsupported, WrongClass
 from .moran import ColumnSequence, nonauto_assouad
 from .systems import (BARANSKI, GATZOURAS_LALLEY, CarpetSystem, DiagonalMap,
-                      EventuallyPeriodicWord, _omega, classify_word,
-                      validate)
+                      EventuallyPeriodicWord, classify_word, validate)
 
 
 @dataclass(frozen=True)
@@ -140,14 +139,14 @@ def few_large_tangents(system: CarpetSystem):
     points whose pointwise Assouad dimension reaches the global maximum
     form a set of Hausdorff dimension d_j < dimH.  Returns (False, None)
     when no axis splits this way.  Needs both projections strongly
-    separated and both contraction-order classes of maps present, which
-    is decided exactly on Fraction systems.
+    separated and, unless every map is square, both wider and taller maps,
+    read from ``system.orientation`` as ``baranski_dims`` reads them (so
+    both d_j are defined; exact on Fraction systems).
     """
     if system.klass not in (BARANSKI, GATZOURAS_LALLEY):
         raise WrongClass("few-large-tangents test needs a Baranski system, "
                          "got %s" % system.klass)
-    shapes = {_omega(system, {i: 1})[0] for i in range(len(system.maps))}
-    has_wide, has_tall = "Omega1" in shapes, "Omega2" in shapes
+    has_wide, has_tall = 1 in system.orientation, -1 in system.orientation
     # one-sided systems can satisfy the split criterion spuriously, so they
     # are rejected; all-square systems evaluate it honestly (to False)
     if has_wide and not has_tall:
@@ -163,11 +162,6 @@ def few_large_tangents(system: CarpetSystem):
     directional, _, _ = baranski_dims(system)
     d = (directional.d1, directional.d2)
     a = (directional.A1, directional.A2)
-    if None in d:
-        # an exact system whose maps of one orientation are square to
-        # double precision: the float maximisation sees no such words
-        raise Unsupported("the axis-%d Ledrappier-Young maximum is not "
-                          "resolved in double precision" % (d.index(None) + 1))
     for j in (1, 2):
         if d[j - 1] < d[2 - j] and a[j - 1] > a[2 - j]:
             return True, j

@@ -15,9 +15,17 @@ Class detection follows the usual carpet taxonomy:
 * ``DiagonalOnly`` -- anything else with valid ratios; the symbolic machinery
   still works but no closed-form dimension applies.
 
-Entries given as ``fractions.Fraction`` (the config format's ``[num, den]``)
-are kept exact and all separation tests are then exact; float entries fall
-back to 1e-12 tolerances.
+Entries given as ``fractions.Fraction`` are kept exact; the config
+format's ``[num, den]`` and ints in tuples and configs become Fractions.
+One comparator, ``_compare``, settles every comparison of map data:
+exactly when every entry of the system is a Fraction, otherwise in floats
+with differences within 1e-12 counted as ties.  So on rational input these
+decisions are exact: the eta_j classes, alignment, strong separation, the
+GatzourasLalley / Baranski class, each map's orientation (the sign of
+r1 - r2, kept as ``orientation``), the orientation class of a word
+(``classify_word``), whether P_j = {chi_j <= chi_j'} has interior (which
+the dimension layer reads from ``orientation``) and the unit-square
+warning.
 """
 
 from __future__ import annotations
@@ -93,6 +101,7 @@ class CarpetSystem:
     eta2_ssc: bool
     eta1_aligned: bool      # projection condition on axis 1 (see validate)
     eta2_aligned: bool
+    orientation: tuple      # per map, the sign of r1 - r2 (see validate)
     warnings: tuple = field(default=())
 
     def __len__(self):
@@ -112,6 +121,12 @@ class CarpetSystem:
         return Analysis(self)
 
     @cached_property
+    def packing_constant(self):
+        """The constant of geometry.packing_check, made on first use."""
+        from .geometry import _packing_constant
+        return _packing_constant(self)
+
+    @cached_property
     def _class_indices(self):
         return tuple(MappingProxyType({i: cid for cid, cls in
                                        enumerate(self.classes(axis))
@@ -121,7 +136,7 @@ class CarpetSystem:
     def __getstate__(self):
         # cached values are remade on first use, so copies leave them behind
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("analysis", "_class_indices")}
+                if k not in ("analysis", "packing_constant", "_class_indices")}
 
     def aligned(self, axis: int) -> bool:
         """Distinct axis classes have disjoint open intervals."""
@@ -133,45 +148,39 @@ class CarpetSystem:
         return self._class_indices[0 if axis == 1 else 1]
 
 
-def _close(a, b, exact):
+def _compare(a, b, exact):
+    """Sign of a - b for map data: exact when ``exact`` (every entry a
+    Fraction), otherwise 0 within the 1e-12 tolerance of float input."""
     if exact:
-        return a == b
-    return abs(float(a) - float(b)) <= _TOL
-
-
-def _open_intervals_disjoint(a0, a1, b0, b1, exact):
-    """(a0,a1) and (b0,b1) disjoint?"""
-    if exact:
-        return a1 <= b0 or b1 <= a0
-    return float(a1) <= float(b0) + _TOL or float(b1) <= float(a0) + _TOL
+        return (a > b) - (a < b)
+    diff = float(a) - float(b)
+    return (diff > _TOL) - (diff < -_TOL)
 
 
 def _group_axis(maps, axis, exact):
-    """Group maps by exact (ratio, offset) equality on one axis."""
+    """Group maps by equal (ratio, offset) on one axis."""
     order = sorted(range(len(maps)),
                    key=lambda i: (float(maps[i].offset(axis)),
                                   float(maps[i].ratio(axis))))
     classes = []
     for i in order:
         m = maps[i]
-        placed = False
         for cls in classes:
-            if _close(cls[0], m.ratio(axis), exact) and \
-                    _close(cls[1], m.offset(axis), exact):
+            if _compare(cls[0], m.ratio(axis), exact) == 0 and \
+                    _compare(cls[1], m.offset(axis), exact) == 0:
                 cls[2].append(i)
-                placed = True
                 break
-        if not placed:
+        else:
             classes.append([m.ratio(axis), m.offset(axis), [i]])
     return tuple(ProjectionClass(c[0], c[1], tuple(sorted(c[2])))
                  for c in classes)
 
 
-def _axis_aligned(classes, exact):
-    """Projection condition: distinct classes have disjoint open intervals."""
-    return all(_open_intervals_disjoint(a.offset, a.offset + a.ratio,
-                                        b.offset, b.offset + b.ratio, exact)
-               for a, b in itertools.combinations(classes, 2))
+def _apart(spans, exact):
+    """Are the open intervals (o, o + r), given as (o, r) pairs, pairwise
+    disjoint?"""
+    return all(_compare(o + r, p, exact) <= 0 or _compare(p + s, o, exact) <= 0
+               for (o, r), (p, s) in itertools.combinations(spans, 2))
 
 
 def _axis_ssc(classes, exact):
@@ -185,31 +194,12 @@ def _axis_ssc(classes, exact):
     full intervals touch can still carry disjoint attractor pieces when the
     attractor does not fill its hull.
     """
-    one = Fraction(1) if exact else 1.0
-    lo = min(c.offset / (one - c.ratio) for c in classes)
-    hi = max(c.offset / (one - c.ratio) for c in classes)
+    lo = min(c.offset / (1 - c.ratio) for c in classes)
+    hi = max(c.offset / (1 - c.ratio) for c in classes)
     ends = [(c.offset + c.ratio * lo, c.offset + c.ratio * hi)
             for c in classes]
-    for a in range(len(ends)):
-        for b in range(a + 1, len(ends)):
-            (a0, a1), (b0, b1) = ends[a], ends[b]
-            if exact:
-                disjoint = a1 < b0 or b1 < a0
-            else:
-                disjoint = (float(a1) < float(b0) - _TOL
-                            or float(b1) < float(a0) - _TOL)
-            if not disjoint:
-                return False
-    return True
-
-
-def _rects_disjoint(maps, exact):
-    """Open image rectangles pairwise disjoint?"""
-    return all(_open_intervals_disjoint(a.d1, a.d1 + a.r1,
-                                        b.d1, b.d1 + b.r1, exact)
-               or _open_intervals_disjoint(a.d2, a.d2 + a.r2,
-                                           b.d2, b.d2 + b.r2, exact)
-               for a, b in itertools.combinations(maps, 2))
+    return all(_compare(a1, b0, exact) < 0 or _compare(b1, a0, exact) < 0
+               for (a0, a1), (b0, b1) in itertools.combinations(ends, 2))
 
 
 def validate(maps) -> CarpetSystem:
@@ -238,22 +228,23 @@ def validate(maps) -> CarpetSystem:
     norm = tuple(norm)
     exact = all(m.exact for m in norm)
 
-    warnings = []
-    for i, m in enumerate(norm):
-        if float(m.d1) < -_TOL or float(m.d1 + m.r1) > 1 + _TOL \
-                or float(m.d2) < -_TOL or float(m.d2 + m.r2) > 1 + _TOL:
-            warnings.append("map %d image extends outside the unit square" % i)
+    warnings = ["map %d image extends outside the unit square" % i
+                for i, m in enumerate(norm)
+                if any(_compare(m.offset(j), 0, exact) < 0
+                       or _compare(m.offset(j) + m.ratio(j), 1, exact) > 0
+                       for j in (1, 2))]
 
     columns = _group_axis(norm, 1, exact)
     rows = _group_axis(norm, 2, exact)
 
-    disjoint = _rects_disjoint(norm, exact)
-    col_aligned = _axis_aligned(columns, exact)
-    row_aligned = _axis_aligned(rows, exact)
-    wider = all((m.r1 > m.r2) if exact else (float(m.r1) > float(m.r2) + _TOL)
-                for m in norm)
+    disjoint = all(_apart([(a.d1, a.r1), (b.d1, b.r1)], exact)
+                   or _apart([(a.d2, a.r2), (b.d2, b.r2)], exact)
+                   for a, b in itertools.combinations(norm, 2))
+    col_aligned = _apart([(c.offset, c.ratio) for c in columns], exact)
+    row_aligned = _apart([(c.offset, c.ratio) for c in rows], exact)
+    orientation = tuple(_compare(m.r1, m.r2, exact) for m in norm)
 
-    if disjoint and col_aligned and wider:
+    if disjoint and col_aligned and min(orientation) > 0:
         klass = GATZOURAS_LALLEY
     elif disjoint and col_aligned and row_aligned:
         klass = BARANSKI
@@ -269,6 +260,7 @@ def validate(maps) -> CarpetSystem:
         eta2_ssc=_axis_ssc(rows, exact),
         eta1_aligned=col_aligned,
         eta2_aligned=row_aligned,
+        orientation=orientation,
         warnings=tuple(warnings),
     )
 
@@ -362,10 +354,10 @@ def column_word(system: CarpetSystem, word, axis: int = 1) -> tuple:
         raise IndexError("letter outside alphabet: %r" % (exc.args[0],)) from exc
 
 
-def _omega(system: CarpetSystem, counts):
-    """Lyapunov ratio class of a word whose letters occur ``counts`` times
-    (map index -> count): (omega, chi_1 / chi_2) with chi_j = -sum_i q_i
-    log r_j,i for the letter frequencies q.
+def _omega(system: CarpetSystem, word):
+    """Lyapunov ratio class of a finite word of map indices: (omega,
+    chi_1 / chi_2) with chi_j = -sum_i q_i log r_j,i for the letter
+    frequencies q.
 
     omega is "Omega1" when chi_1 < chi_2 (contraction is faster in the
     vertical), "Omega2" when chi_1 > chi_2 and "Omega0" on a tie.  Exact
@@ -373,18 +365,18 @@ def _omega(system: CarpetSystem, counts):
     Fractions, so only a true tie is one; float systems call
     |chi_1 / chi_2 - 1| <= 1e-12 a tie.
     """
-    n = sum(counts.values())
+    counts, n = Counter(word), len(word)
     chi1 = -math.fsum(c / n * math.log(float(system.maps[i].r1))
                       for i, c in counts.items())
     chi2 = -math.fsum(c / n * math.log(float(system.maps[i].r2))
                       for i, c in counts.items())
     ratio = chi1 / chi2
     if system.exact:
-        p1 = math.prod(system.maps[i].r1 ** c for i, c in counts.items())
-        p2 = math.prod(system.maps[i].r2 ** c for i, c in counts.items())
-        order = (p1 > p2) - (p1 < p2)
+        a = math.prod(system.maps[i].r1 ** c for i, c in counts.items())
+        b = math.prod(system.maps[i].r2 ** c for i, c in counts.items())
     else:
-        order = 0 if abs(ratio - 1.0) <= _TOL else (1 if ratio < 1.0 else -1)
+        a, b = 1.0, ratio
+    order = _compare(a, b, system.exact)
     if order == 0:
         return "Omega0", ratio
     return ("Omega1" if order > 0 else "Omega2"), ratio
@@ -400,4 +392,4 @@ def classify_word(system: CarpetSystem, gamma: EventuallyPeriodicWord):
     1e-12 on float ones.
     """
     gamma.check_alphabet(system)
-    return _omega(system, Counter(gamma.period))
+    return _omega(system, gamma.period)

@@ -169,6 +169,22 @@ def test_sliver_carpet_box_dimension(capsys, monkeypatch):
         SLIVER_DIMB, abs=1e-12)
 
 
+def test_dims_and_pointwise_agree_on_a_near_square_map(capsys, monkeypatch):
+    # map 1 is wider than tall by 1/(3 * 10^17) of its height: P_1 has
+    # interior, in floats it is the face of map 1, and d_1 there is 0
+    text = json.dumps({"maps": [
+        {"r1": [1, 4], "r2": [1, 2], "d1": 0, "d2": 0},
+        {"r1": [10 ** 17 + 1, 3 * 10 ** 17], "r2": [1, 3], "d1": [1, 4],
+         "d2": [1, 2]}]})
+    code, envelope, _ = invoke(capsys, monkeypatch, ["dims"], stdin=text)
+    assert code == 0
+    assert envelope["results"]["d1"] == 0.0
+    code, envelope, _ = invoke(capsys, monkeypatch,
+                               ["pointwise", "--gamma", ":(1)"], stdin=text)
+    assert code == 0
+    assert envelope["results"]["axis"] == 1
+
+
 def test_levelset_baranski_is_wrong_class(capsys, monkeypatch):
     def refuse(self):
         raise AssertionError("maximised a Baranski axis")

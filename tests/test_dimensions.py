@@ -11,10 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from carpetdim import (DiagonalMap, OptimizerFailure, ProbabilityVector,
-                       RangeError, WrongClass, WrongShape,
-                       baranski_1d_reduction, baranski_dims, entropy_stats,
-                       gl_dims, reduction_suprema, validate)
+from carpetdim import (DiagonalMap, EventuallyPeriodicWord,
+                       OptimizerFailure, ProbabilityVector, RangeError,
+                       WrongClass, WrongShape, baranski_1d_reduction,
+                       baranski_dims, classify_word, entropy_stats, gl_dims,
+                       reduction_suprema, validate)
 from carpetdim.dimensions import _AxisProblem
 from carpetdim.pointwise import build_exceptional
 
@@ -345,6 +346,52 @@ def test_baranski_ordering_and_box_roots(maps):
     roots = load_dims_oracle().box_roots(as_floats(system))
     for axis, expected in zip(system.analysis.axes, roots):
         assert axis.box[0] == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def near_square_grids(draw):
+    """Cells of an exact grid whose cell (0, 0) is square but for a push of
+    +-1/10^k, 15 <= k <= 20, which double precision may not see."""
+    def sides():
+        return [Fraction(v, 10) for v in
+                draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))]
+
+    widths, heights = sides(), sides()
+    push = draw(st.sampled_from((-1, 1))) * Fraction(1, 10 ** draw(
+        st.integers(15, 20)))
+    widths[0] = heights[0] + push
+    x = [sum(widths[:a], Fraction(0)) for a in range(len(widths))]
+    y = [sum(heights[:b], Fraction(0)) for b in range(len(heights))]
+    cells = [(a, b) for a in range(len(widths)) for b in range(len(heights))]
+    pick = draw(st.sets(st.sampled_from(cells[1:]), min_size=1))
+    return [DiagonalMap(widths[a], heights[b], x[a], y[b])
+            for a, b in [(0, 0)] + sorted(pick)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(near_square_grids())
+@example([DiagonalMap(Fraction(1, 3), Fraction(1, 3), Fraction(a, 3),
+                      Fraction(b, 3)) for a in (0, 2) for b in (0, 2)])
+def test_axis_values_follow_the_exact_orientations(maps):
+    system = validate(maps)
+    signs = [(m.r1 > m.r2) - (m.r1 < m.r2) for m in system.maps]
+    omegas = [classify_word(system, EventuallyPeriodicWord((), (i,)))[0]
+              for i in range(len(maps))]
+    assert [{"Omega1": 1, "Omega0": 0, "Omega2": -1}[omega]
+            for omega in omegas] == signs == list(system.orientation)
+    directional, _, _ = baranski_dims(system)
+    square = [float(m.r1) for m in maps if float(m.r1) == float(m.r2)]
+    for side, d in ((1, directional.d1), (-1, directional.d2)):
+        assert (d is None) == (side not in signs and any(signs))
+        assert d is None or 0.0 <= d <= 2.0
+        if side in signs and all(float(m.r1) == float(m.r2)
+                                 for m, sign in zip(maps, signs)
+                                 if sign == side):
+            # P_j rounds to the face of the maps square in floats, where
+            # the value is H(w)/chi(w), maximal at their Moran root
+            assert d == pytest.approx(load_dims_oracle().root(
+                lambda t: math.fsum(r ** t for r in square) - 1.0, 0.0),
+                abs=1e-12)
 
 
 def test_box_roots_match_the_brentq_oracle():

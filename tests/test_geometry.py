@@ -9,6 +9,7 @@ itself are pinned as regressions next to the tolerance that matters.
 
 import importlib.util
 import math
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,8 +29,7 @@ from carpetdim import (DiagonalMap, EmptyInput, EventuallyPeriodicWord,
                        scale_count_table, slice_cloud, tangent_cloud, validate,
                        write_scale_counts_csv)
 from carpetdim.dimensions import _AxisProblem
-from carpetdim.geometry import (_band_guard, _band_rates, _grid_count,
-                                _packing_constant)
+from carpetdim.geometry import _band_guard, _band_rates, _grid_count
 from test_dimensions import random_baranski_system
 
 HALF = Fraction(1, 2)
@@ -371,9 +371,10 @@ def test_packing_check_on_gl_never_maximises(monkeypatch):
         raise AssertionError("Ledrappier-Young maximisation for dimA")
 
     monkeypatch.setattr(_AxisProblem, "maximise", refuse)
-    _packing_constant.cache_clear()
     system = glmix()
     assert packing_check(system, (word((), (0,)), 0.5), [((0,), 0.05)], 1.6)
+    assert "packing_constant" in vars(system)
+    assert "packing_constant" not in vars(pickle.loads(pickle.dumps(system)))
 
 
 def test_packing_check_needs_a_classified_system():

@@ -57,6 +57,16 @@ def test_validate_exceptional_family():
     assert all(float(m.r2) == pytest.approx(0.225) for m in system.maps)
 
 
+def test_outside_square_warning_is_exact():
+    # 1e-14 outside the square: seen exactly, within the float tolerance
+    maps = [(HALF, QUARTER, Fraction(-1, 10 ** 14), 0),
+            (HALF, QUARTER, HALF, 0)]
+    assert validate(maps).warnings == (
+        "map 0 image extends outside the unit square",)
+    floats = [tuple(float(v) for v in m) for m in maps]
+    assert validate(floats).warnings == ()
+
+
 def test_exceptional_delta_zero_touches():
     system = build_exceptional(0)
     assert system.klass == "Baranski"
