@@ -33,6 +33,7 @@ import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -348,10 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on its first call and kept: parsing
+    leaves it unchanged, and building it costs some thirty parses."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     except UsageError as exc:

@@ -12,6 +12,9 @@ its maps per level, its stop and pruning rules and what it does with a leaf.
 Grid counts stop a cylinder early once it lies inside one grid row or
 column (a band) and finish it with a one-dimensional refinement along that
 row, which gives the cells of full refinement at the cost of the cells.
+A ladder of scales (``estimate``, ``boxcount``) is counted in one such
+refinement: each row carries the index of its scale, and one sort of the
+cell keys counts every scale.
 """
 
 from __future__ import annotations
@@ -143,21 +146,24 @@ def _refine(root, children, done, keep=None):
     """Refine blocks of cylinder rectangles and yield the leaf blocks.
 
     A block is a tuple of equal-length arrays (x0, y0, w, h) of rectangles
-    at one depth, optionally followed by an (N, depth) int array of their
-    words.  ``children`` holds the (r1, r2, d1, d2) arrays of the maps that
-    refine a rectangle, or is a function of the depth that returns them; a
-    child's letter is its map's position there.  ``keep(x0, y0, w, h,
-    depth)`` masks the rows to keep, then ``done(x0, y0, w, h, depth)``
-    marks the leaves (a mask or one bool).  Children are laid out
-    parent-major and blocks are refined depth-first, at most _CHUNK child
-    rows at a time, so the leaves of a fixed depth come out in word order.
+    at one depth, optionally followed by one per-row column: an (N, depth)
+    int array of their words, to which each child appends its letter, or a
+    one-dimensional tag that children inherit.  ``children`` holds the
+    (r1, r2, d1, d2) arrays of the maps that refine a rectangle, or is a
+    function of the depth that returns them; a child's letter is its map's
+    position there.  ``keep(x0, y0, w, h, depth[, column])`` masks the rows
+    to keep, then ``done(x0, y0, w, h, depth[, column])`` marks the leaves
+    (a mask or one bool).  Children are laid out parent-major and blocks
+    are refined depth-first, at most _CHUNK child rows at a time, so the
+    leaves of a fixed depth come out in word order.
     """
     block, depth = tuple(root), 0
     stack = []
     while True:
         if keep is not None:
-            block = _rows(block, keep(*block[:4], depth))
-        leaf = np.broadcast_to(done(*block[:4], depth), block[0].shape)
+            block = _rows(block, keep(*block[:4], depth, *block[4:]))
+        leaf = np.broadcast_to(done(*block[:4], depth, *block[4:]),
+                               block[0].shape)
         if leaf.any():
             yield _rows(block, leaf)
         rest = _rows(block, ~leaf)
@@ -174,8 +180,10 @@ def _refine(root, children, done, keep=None):
         block = tuple(a.ravel() for a in
                       (x0 + w * d1, y0 + h * d2, w * r1, h * r2))
         if len(parents) > 4:
-            block += (np.column_stack((np.repeat(parents[4], k, axis=0),
-                                       np.tile(np.arange(k), n))),)
+            column = np.repeat(parents[4], k, axis=0)
+            if column.ndim == 2:
+                column = np.column_stack((column, np.tile(np.arange(k), n)))
+            block += (column,)
         depth += 1
 
 
@@ -209,12 +217,20 @@ def _near(cx, cy, R):
     return keep
 
 
-def _cell_keys(ix, iy, span):
+def _code_span(span):
+    """``span`` when cell keys of that span fit an int64 code, else None."""
+    return span if span < 2 ** 31 else None
+
+
+def _cell_keys(ix, iy, span, off=None):
     """A sortable key per grid cell (whole-number float indices, iy < span):
-    an int64 code while it fits, else the exact complex ix + i*iy."""
-    if span < 2 ** 31:
-        return ix.astype(np.int64) * span + iy.astype(np.int64)
-    return ix + 1j * iy
+    the int64 code off + ix * span + iy, or, where span is None (no int64
+    code fits), the exact complex ix + i*iy.  span and off are shared or
+    per row."""
+    if span is None:
+        return ix + 1j * iy
+    keys = ix.astype(np.int64) * span + iy.astype(np.int64)
+    return keys if off is None else keys + off
 
 
 def _distinct(keys):
@@ -243,7 +259,7 @@ def cylinders_to_scale(system, r, axis):
     root = _root() + (np.zeros((1, 0), dtype=np.int64),)
     out = []
     for x0, y0, w, h, words in _refine(
-            root, maps, lambda x0, y0, w, h, n: side(w, h) <= r):
+            root, maps, lambda x0, y0, w, h, n, words: side(w, h) <= r):
         out.extend((tuple(word), Rect(*rect)) for word, *rect in
                    zip(words.tolist(), x0.tolist(), y0.tolist(), w.tolist(),
                        h.tolist()))
@@ -378,7 +394,7 @@ def _ball_grid_count(system, gamma, R, s):
     cylinder-side snapping that inflates the symbolic square cover.
     """
     maps = _map_steps(system.maps)
-    span = int(1.0 / s) + 2
+    span = _code_span(int(1.0 / s) + 2)
     cells = [np.empty(0, dtype=np.int64)]
     for x0, y0, w, h in _refine(_root(), maps,
                                 lambda x0, y0, w, h, n: (w <= s) & (h <= s),
@@ -453,30 +469,71 @@ def _band_guard(long, short, s, rate):
     return 2.0 ** -53 * (levels + 3.0 + 4.0 * levels * short)
 
 
-def _span_keys(ax, bx, ay, by, span):
+def _span_keys(ax, bx, ay, by, span, off=None):
     """Sorted distinct keys of every cell from (ax, ay) to (bx, by) per row,
     one offset at a time; a key is linear in the cell indices, so an offset
     cell's key is the corner's key plus the offset's."""
     if not ax.size:
         return np.empty(0, dtype=np.int64)
-    base = _cell_keys(ax, ay, span)
+    base = _cell_keys(ax, ay, span, off)
     ex, ey = bx - ax, by - ay
     keys = [base]
     for dx in range(int(ex.max()) + 1):
         for dy in range(int(ey.max()) + 1):
             if dx or dy:
                 hit = (ex >= dx) & (ey >= dy)
-                step = _cell_keys(np.array([dx]), np.array([dy]), span)
+                if span is None:
+                    step = dx + 1j * dy
+                else:
+                    step = dx * (span[hit] if np.ndim(span) else span) + dy
                 keys.append(base[hit] + step)
     return _distinct(np.concatenate(keys))
 
 
 def _grid_count(system, s):
-    """Number of side-s grid cells touched by the cylinder cover at scale s.
+    """Number of side-s grid cells touched by the cylinder cover at scale s:
+    the one-scale call of ``_grid_counts``."""
+    return _grid_counts(system, [s])[0]
 
-    Cylinders are refined until both sides are at most s; each leaf touches
-    the cells from the one under its lower-left corner to the one under its
-    upper-right corner, with the top row and column clamped.
+
+def _grid_counts(system, scales):
+    """Number of grid cells touched by the cylinder cover at each side in
+    ``scales``, in their order (repeats allowed).
+
+    The distinct scales are counted in one refinement, ``_ladder_count``,
+    as long as their int64 cell codes fit side by side: a side s has
+    ceil(1/s)^2 codes, and a run's codes must sum below 2^63.  Codes stay
+    in their scale's range only when every cell index lies in [0,
+    ceil(1/s)), which holds when each map keeps to the unit square;
+    otherwise each scale is counted on its own, and so is a scale with
+    2^31 or more cells a side, whose keys are complex.
+    """
+    rates = _band_rates(system)
+    runs, room = [], 0
+    for s in sorted(set(scales), reverse=True):
+        area = math.ceil(1.0 / s) ** 2
+        if rates is not None and area < min(room, 2 ** 62):
+            runs[-1].append(s)
+            room -= area
+        else:
+            runs.append([s])
+            room = 2 ** 63 - area
+    counts = {}
+    for run in runs:
+        counts.update(zip(run, _ladder_count(system, run, rates)))
+    return [counts[s] for s in scales]
+
+
+def _ladder_count(system, scales, rates):
+    """Grid counts at the distinct ``scales``, coarse first, in one pass.
+
+    The root block holds the unit square once per scale, tagged with the
+    scale's index, and every row reads its own s, 1/s and top cell index
+    (scalars when there is one scale).  Cylinders are refined until both
+    sides are at most s; each leaf touches the cells from the one under its
+    lower-left corner to the one under its upper-right corner, with the top
+    row and column clamped.  A cell's key is offset by the codes of the
+    coarser scales, so one sort counts every scale.
 
     A cylinder with one side at most s and the other longer is a band once
     that short side lies in one grid row (or column) with room to spare:
@@ -484,37 +541,56 @@ def _grid_count(system, s):
     depends only on the (ratio, offset) pairs of its letters on that axis,
     taken with the same float steps.  So a band's cells are its row times a
     one-dimensional refinement over the distinct pairs, which ``_refine``
-    runs with the row index in the second slot; the count is the one full
-    refinement would give, with work that follows the cells rather than the
-    thinnest cylinders.  The near edge needs no guard, since
-    fl(y0 + h * d) >= y0; the far edge needs ``_band_guard``, which exceeds
-    every cell below about 2^-51, so there nothing forms a band and the
-    count is full refinement.
+    runs with the row index in the second slot and s in the third, which
+    the pairs' ratio 1 keeps; the count is the one full refinement would
+    give, with work that follows the cells rather than the thinnest
+    cylinders.  The near edge needs no guard, since fl(y0 + h * d) >= y0;
+    the far edge needs ``_band_guard``, which exceeds every cell below
+    about 2^-51, so there nothing forms a band and the count is full
+    refinement.  Each scale's rows take exactly the float steps of a count
+    at that scale alone.
     """
     maps = _map_steps(system.maps)
-    inv = 1.0 / s
-    top = int(math.ceil(inv)) - 1
-    rates = _band_rates(system)
+    tops = [math.ceil(1.0 / s) - 1 for s in scales]
+    root = _root()
+    if len(scales) == 1:
+        (s,), (top,) = scales, tops
+        table = s, 1.0 / s, top, _code_span(top + 1), None
+    else:
+        s = np.array(scales)
+        span = np.array(tops, dtype=np.int64) + 1
+        table = (s, 1.0 / s, np.array(tops, dtype=float), span,
+                 np.cumsum(span * span) - span * span)
+        root = tuple(np.repeat(a, len(scales)) for a in root) + (
+            np.arange(len(scales)),)
 
-    def index(v):
+    def at(*tag):
+        """s, 1/s, the top cell index, the key span and the key offset of
+        rows tagged with their scale index; shared scalars for one scale."""
+        return tuple(a[tag[0]] for a in table) if tag else table
+
+    def index(v, inv, top):
         return np.minimum(np.trunc(v * inv), top)
 
-    def done(x0, y0, w, h, depth):
+    def done(x0, y0, w, h, depth, *tag):
+        s = at(*tag)[0]
         wide, tall = w > s, h > s
         stop = ~(wide | tall)
         if rates is not None:
             thin = np.flatnonzero(wide ^ tall)
             if thin.size:
+                s, inv, top, _, _ = at(*(a[thin] for a in tag))
                 row = wide[thin]
                 lo = np.where(row, y0[thin], x0[thin])
                 side = np.where(row, h[thin], w[thin])
                 guard = _band_guard(np.where(row, w[thin], h[thin]), side,
                                     s, np.where(row, *rates))
-                stop[thin] = index(lo) == index(lo + side + guard)
+                stop[thin] = (index(lo, inv, top)
+                              == index(lo + side + guard, inv, top))
         return stop
 
     # per axis: the distinct (ratio, offset) pairs, and the buffered bands
-    # as (start, row or column index, length, 1) blocks
+    # as (start, row or column index, length, s[, scale index]) blocks
     pairs = [_steps((r, 1, d, 0) for r, d in sorted(
         {(float(m.ratio(axis)), float(m.offset(axis))) for m in system.maps}))
         for axis in (1, 2)]
@@ -524,38 +600,48 @@ def _grid_count(system, s):
     def flush(axis):
         block = tuple(np.concatenate(a) for a in zip(*bands[axis - 1]))
         bands[axis - 1].clear()
-        for lo, line, length, _ in _refine(block, pairs[axis - 1],
-                                           lambda x0, y0, w, h, n: w <= s):
-            ends = index(lo), index(lo + length)
-            cells.append(_span_keys(*ends, line, line, top + 1) if axis == 1
-                         else _span_keys(line, line, *ends, top + 1))
+        for lo, line, length, _, *tag in _refine(
+                block, pairs[axis - 1], lambda x0, y0, w, h, n, *tag: w <= h):
+            _, inv, top, span, off = at(*tag)
+            ends = index(lo, inv, top), index(lo + length, inv, top)
+            cells.append(_span_keys(*ends, line, line, span, off) if axis == 1
+                         else _span_keys(line, line, *ends, span, off))
 
-    for block in _refine(_root(), maps, done):
-        x0, y0, w, h = block
+    for x0, y0, w, h, *tag in _refine(root, maps, done):
+        s, inv, top, span, off = at(*tag)
         leaf = (w <= s) & (h <= s)
         if not leaf.all():
             for axis, band, start, line, length in (
                     (1, ~leaf & (h <= s), x0, y0, w),
                     (2, ~leaf & (w <= s), y0, x0, h)):
                 if band.any():
-                    bands[axis - 1].append((start[band], index(line[band]),
-                                            length[band],
-                                            np.ones(int(band.sum()))))
+                    band_tag = [a[band] for a in tag]
+                    band_s, band_inv, band_top, _, _ = at(*band_tag)
+                    bands[axis - 1].append(
+                        (start[band], index(line[band], band_inv, band_top),
+                         length[band], np.full(int(band.sum()), band_s),
+                         *band_tag))
                     if sum(b[0].size for b in bands[axis - 1]) >= _CHUNK:
                         flush(axis)
-            x0, y0, w, h = _rows(block, leaf)
-        cells.append(_span_keys(index(x0), index(x0 + w), index(y0),
-                                index(y0 + h), top + 1))
+            x0, y0, w, h, *tag = (a[leaf] for a in (x0, y0, w, h, *tag))
+            s, inv, top, span, off = at(*tag)
+        cells.append(_span_keys(index(x0, inv, top), index(x0 + w, inv, top),
+                                index(y0, inv, top), index(y0 + h, inv, top),
+                                span, off))
     for axis in (1, 2):
         if bands[axis - 1]:
             flush(axis)
-    return int(_distinct(np.concatenate(cells)).size)
+    keys = _distinct(np.concatenate(cells))
+    if len(scales) == 1:
+        return [int(keys.size)]
+    return np.diff(np.searchsorted(keys, table[4]), append=keys.size).tolist()
 
 
 @lru_cache(maxsize=16)
 def box_dimension_estimate(system, k_lo=4, k_hi=9):
     """Empirical box dimension: least-squares slope of log counts against
-    log scale over the dyadic ladder 2^-k, k_lo <= k <= k_hi.
+    log scale over the dyadic ladder 2^-k, k_lo <= k <= k_hi, all counted
+    in one refinement.
 
     Returns (slope, (low, high)) where the band is the spread of the
     adjacent two-point slopes, an honest indication of how settled the
@@ -565,7 +651,7 @@ def box_dimension_estimate(system, k_lo=4, k_hi=9):
         raise RangeError("need 2 <= k_lo < k_hi")
     ks = list(range(k_lo, k_hi + 1))
     logs = [k * math.log(2.0) for k in ks]
-    counts = [_grid_count(system, 2.0 ** -k) for k in ks]
+    counts = _grid_counts(system, [2.0 ** -k for k in ks])
     ys = [math.log(c) for c in counts]
     slope = float(np.polyfit(logs, ys, 1)[0])
     pair = [(ys[t + 1] - ys[t]) / (logs[t + 1] - logs[t])
@@ -574,14 +660,15 @@ def box_dimension_estimate(system, k_lo=4, k_hi=9):
 
 
 def scale_count_table(system, ks):
-    """(scale, grid count) rows for the dyadic scales 2^-k, k in ks.
+    """(scale, grid count) rows for the dyadic scales 2^-k, k in ks, in
+    the order given; the distinct scales are counted together, once.
 
     Every exponent is checked before any scale is counted."""
     ks = list(ks)
     if any(not float(k).is_integer() or k < 1 for k in ks):
         raise RangeError("scale exponents must be integers >= 1")
-    return [(2.0 ** -int(k), _grid_count(system, 2.0 ** -int(k)))
-            for k in ks]
+    scales = [2.0 ** -int(k) for k in ks]
+    return list(zip(scales, _grid_counts(system, scales)))
 
 
 # ------------------------------------------------------ packing harness

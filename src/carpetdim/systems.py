@@ -16,7 +16,8 @@ Class detection follows the usual carpet taxonomy:
   still works but no closed-form dimension applies.
 
 Entries given as ``fractions.Fraction`` are kept exact; the config
-format's ``[num, den]`` and ints in tuples and configs become Fractions.
+format's ``[num, den]`` and ints in DiagonalMaps, tuples and configs
+become Fractions.
 One comparator, ``_compare``, settles every comparison of map data:
 exactly when every entry of the system is a Fraction, otherwise in floats
 with differences within 1e-12 counted as ties.  So on rational input these
@@ -203,7 +204,8 @@ def _axis_ssc(classes, exact):
 
 
 def validate(maps) -> CarpetSystem:
-    """Build a CarpetSystem from an iterable of DiagonalMap (or 4-tuples).
+    """Build a CarpetSystem from an iterable of DiagonalMap (or 4-tuples),
+    every entry normalised by ``as_number``.
 
     Raises InvalidSystem for fewer than two maps, any entry that is not a
     finite number, or any ratio outside (0,1).
@@ -213,9 +215,9 @@ def validate(maps) -> CarpetSystem:
     """
     norm = []
     for m in maps:
-        if not isinstance(m, DiagonalMap):
-            m = DiagonalMap(*[as_number(v) for v in m])
-        norm.append(m)
+        if isinstance(m, DiagonalMap):
+            m = (m.r1, m.r2, m.d1, m.d2)
+        norm.append(DiagonalMap(*[as_number(v) for v in m]))
     if len(norm) < 2:
         raise InvalidSystem("need at least two maps, got %d" % len(norm))
     for m in norm:
@@ -276,8 +278,7 @@ def system_from_config(config: dict) -> CarpetSystem:
     maps = []
     for e in entries:
         try:
-            maps.append(DiagonalMap(as_number(e["r1"]), as_number(e["r2"]),
-                                    as_number(e["d1"]), as_number(e["d2"])))
+            maps.append((e["r1"], e["r2"], e["d1"], e["d2"]))
         except (KeyError, TypeError) as exc:
             raise InvalidSystem("bad map entry %r" % (e,)) from exc
     return validate(maps)

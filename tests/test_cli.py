@@ -13,6 +13,7 @@ import pytest
 import carpetdim
 from carpetdim.cli import load_config, parse_columns, parse_gamma, run
 from carpetdim.dimensions import _AxisProblem
+from carpetdim.geometry import _grid_count
 
 GL3_CONFIG = {"maps": [
     {"r1": [1, 2], "r2": [1, 4], "d1": 0, "d2": 0},
@@ -289,6 +290,20 @@ def test_boxcount_cli_writes_csv(tmp_path, capsys, monkeypatch):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "scale,count"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("config", [GL3_CONFIG, carpetdim.system_to_config(
+    carpetdim.build_exceptional("1/40"))])
+def test_boxcount_repeated_scales_match_one_scale_counts(capsys, monkeypatch,
+                                                          config):
+    code, envelope, _ = invoke(capsys, monkeypatch,
+                               ["boxcount", "--scales", "6,4,6"],
+                               json.dumps(config))
+    assert code == 0
+    system = carpetdim.system_from_config(config)
+    assert [(row["scale"], row["count"])
+            for row in envelope["results"]["counts"]] == \
+        [(2.0 ** -k, _grid_count(system, 2.0 ** -k)) for k in (6, 4, 6)]
 
 
 def test_render_cli_depth_zero_unit_square(tmp_path, capsys, monkeypatch):

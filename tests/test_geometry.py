@@ -29,7 +29,8 @@ from carpetdim import (DiagonalMap, EmptyInput, EventuallyPeriodicWord,
                        scale_count_table, slice_cloud, tangent_cloud, validate,
                        write_scale_counts_csv)
 from carpetdim.dimensions import _AxisProblem
-from carpetdim.geometry import _band_guard, _band_rates, _grid_count
+from carpetdim.geometry import (_band_guard, _band_rates, _grid_count,
+                                _grid_counts)
 from test_dimensions import random_baranski_system
 
 HALF = Fraction(1, 2)
@@ -554,8 +555,9 @@ def test_scale_count_table_checks_every_exponent_first(monkeypatch):
     from carpetdim import geometry
 
     counted = []
-    monkeypatch.setattr(geometry, "_grid_count",
-                        lambda system, s: counted.append(s) or 0)
+    monkeypatch.setattr(geometry, "_ladder_count",
+                        lambda system, scales, rates:
+                        counted.extend(scales) or [0] * len(scales))
     for ks in ((10, 0), (4, 2.5), (3, -1, 5), (6, math.nan), (7, math.inf)):
         with pytest.raises(RangeError):
             scale_count_table(gl3(), ks)
@@ -608,6 +610,31 @@ BAND_IN_TOP_ROW = [(0.75, 0.25, 0.0, 0.75), (0.25, 0.5, 0.75, 0.0)]
 def test_grid_count_matches_full_refinement(maps, k):
     expected = load_geometry_oracle().grid_count(maps, 2.0 ** -k)
     assert _grid_count(validate(maps), 2.0 ** -k) == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(small_grid_carpets(),
+       st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True))
+@example(BAND_ON_GRID_LINE, [3, 1, 5])
+@example(BAND_IN_TOP_ROW, [2, 4])
+def test_grid_count_ladder_matches_full_refinement_at_every_rung(maps, ks):
+    oracle = load_geometry_oracle()
+    scales = [2.0 ** -k for k in ks]
+    assert _grid_counts(validate(maps), scales) == \
+        [oracle.grid_count(maps, s) for s in scales]
+
+
+def test_estimate_counts_its_ladder_in_one_refinement(monkeypatch):
+    from carpetdim import geometry
+
+    runs = []
+    ladder = geometry._ladder_count
+    monkeypatch.setattr(geometry, "_ladder_count", lambda system, scales,
+                        rates: runs.append(scales) or ladder(system, scales,
+                                                              rates))
+    slope, _ = box_dimension_estimate.__wrapped__(build_exceptional("1/40"))
+    assert runs == [[2.0 ** -k for k in range(4, 10)]]
+    assert slope == pytest.approx(1.6, abs=0.1)
 
 
 def test_band_guard_exceeds_the_drift_of_descendant_tops():

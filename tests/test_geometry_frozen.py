@@ -12,10 +12,11 @@ from fractions import Fraction
 
 from carpetdim import (DiagonalMap, EventuallyPeriodicWord,
                        approximate_square, attractor_cloud, bar_pseudo_count,
-                       box_count_ball, build_exceptional, cylinders_to_scale,
+                       box_count_ball, box_dimension_estimate,
+                       build_exceptional, cylinders_to_scale,
                        projection_cloud, psi_estimate, pseudo_cylinder_count,
                        render_svg, slice_cloud, tangent_cloud, validate)
-from carpetdim.geometry import _ball_grid_count, _grid_count
+from carpetdim.geometry import _ball_grid_count, _grid_count, _grid_counts
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -59,8 +60,19 @@ def test_grid_counts_below_int64_cell_codes_frozen():
     ])
     assert [_grid_count(system, 2.0 ** -k) for k in (20, 30, 33, 40, 60)] == \
         [69, 355, 680, 2262, 33961]
+    # one ladder: 2^-20 and 2^-30 share the int64 codes, the rest go alone
+    assert _grid_counts(system, [2.0 ** -k for k in (60, 20, 33, 30, 40, 20)]) \
+        == [33961, 69, 680, 355, 2262, 69]
     assert [_ball_grid_count(system, word((), (0, 1)), 0.3, 2.0 ** -k)
             for k in (20, 33, 45)] == [21, 195, 1503]
+
+
+def test_box_dimension_estimates_frozen():
+    # from the former estimate, which counted one scale per refinement
+    assert box_dimension_estimate.__wrapped__(gl3()) == \
+        (1.2919164905291594, (0.92034055082235, 1.5969351423872324))
+    assert box_dimension_estimate.__wrapped__(exc()) == \
+        (1.6194281265577404, (1.5361465847781104, 1.7306399559167915))
 
 
 def test_ball_counts_frozen():

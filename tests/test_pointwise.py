@@ -236,7 +236,7 @@ def test_baranski_box_term_runs_no_grid_count(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("counted grid cells")
 
-    monkeypatch.setattr(geometry, "_grid_count", refuse)
+    monkeypatch.setattr(geometry, "_ladder_count", refuse)
     monkeypatch.setattr(geometry, "box_dimension_estimate", refuse)
     system = build_exceptional("1/40")
     dim_b = system.analysis.box[0]

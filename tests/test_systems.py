@@ -204,6 +204,23 @@ def test_classify_word_is_exact_on_exact_systems():
     assert (omega, gamma_inf) == ("Omega0", 1.0)
 
 
+def test_diagonal_map_ints_become_exact():
+    # the README quick start gives its offsets as ints
+    quick = validate([DiagonalMap(HALF, QUARTER, 0, 0),
+                      DiagonalMap(HALF, QUARTER, 0, HALF),
+                      DiagonalMap(HALF, QUARTER, HALF, 0)])
+    assert quick.exact
+    assert isinstance(quick.maps[0].d1, Fraction)
+    # the near-square pair as DiagonalMaps with int offsets
+    wide = Fraction(10 ** 17 + 1, 3 * 10 ** 17)
+    pair = validate([DiagonalMap(QUARTER, HALF, 0, 0),
+                     DiagonalMap(wide, Fraction(1, 3), QUARTER, HALF)])
+    assert pair.exact and pair.orientation == (-1, 1)
+    # one float entry still makes the system float
+    assert not validate([DiagonalMap(HALF, QUARTER, 0.0, 0),
+                         DiagonalMap(HALF, QUARTER, HALF, 0)]).exact
+
+
 def test_classify_word_ignores_preperiod():
     system = build_exceptional(0)
     plain = classify_word(system, EventuallyPeriodicWord((), (4, 8)))
