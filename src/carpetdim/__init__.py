@@ -7,8 +7,7 @@ from .errors import (CarpetError, EmptyInput, InvalidPacking, InvalidSystem,
                      OptimizerFailure, RangeError, Unsupported, WrongClass,
                      WrongShape)
 from .geometry import (ApproxSquare, PointCloud, Rect, approximate_square,
-                       attractor_cloud, bar_pseudo_count,
-                       box_count_ball, box_dimension_estimate,
+                       attractor_cloud, box_count_ball, box_dimension_estimate,
                        cylinders_to_scale, directed_hausdorff,
                        fixture_fast_decay, fixture_progressions,
                        hausdorff_distance, packing_check, projection_cloud,
@@ -17,8 +16,8 @@ from .geometry import (ApproxSquare, PointCloud, Rect, approximate_square,
                        write_scale_counts_csv)
 from .moran import (ColumnSequence, nonauto_assouad, solve_moran,
                     theta_window, window_sup)
-from .pointwise import (PointwiseReport, baranski_level_profile,
-                        build_exceptional, few_large_tangents, level_set_dim,
+from .pointwise import (PointwiseReport, build_exceptional,
+                        few_large_tangents, level_set_dim,
                         pointwise_assouad_baranski, pointwise_assouad_gl,
                         symbolic_slice)
 from .systems import (BARANSKI, DIAGONAL_ONLY, GATZOURAS_LALLEY, CarpetSystem,

@@ -154,6 +154,9 @@ class _AxisProblem:
         self.log_b = log_b[self.order]
         theta = theta[self.order]
         self.lo, self.hi = float(theta.min()), float(theta.max())
+        # flat: equal thetas, where Phi does not vary in kappa, or thetas
+        # closer than the _GRID slices resolve (they would round onto an end)
+        self.flat = self.hi - self.lo <= _GRID * math.ulp(self.hi)
         self.iterations = 0
 
     def gibbs(self, s, kappa, theta):
@@ -189,8 +192,8 @@ class _AxisProblem:
             lo, hi = -math.inf, math.inf
             for _ in range(_MAX_STEPS):
                 phi, d1, d2, w, chi, psi = self.gibbs(s, kappa, theta)
-                if self.lo == self.hi or d1 * d1 <= _DECREMENT * d2:
-                    break                 # flat: Phi does not vary in kappa
+                if self.flat or d1 * d1 <= _DECREMENT * d2:
+                    break
                 lo, hi = (lo, kappa) if d1 > 0.0 else (kappa, hi)
                 new = kappa - d1 / d2 if d2 > 0.0 else math.nan
                 if not lo < new < hi:
@@ -217,7 +220,7 @@ class _AxisProblem:
         boundary theta = 1 is a candidate when psi(1) >= 0."""
         if not self.interior:
             return None
-        if self.lo == self.hi:
+        if self.flat:
             return self._result(*self.slice(self.lo))
         up = min(1.0, self.hi)     # theta_hi = 1 is an end, not a boundary
         n = _GRID if self.hi > 1.0 else _GRID + 1

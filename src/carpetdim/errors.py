@@ -20,9 +20,10 @@ class WrongClass(CarpetError):
 
 
 class WrongShape(CarpetError):
-    """Input has the wrong geometry for the requested operation (e.g. a tall
-    pseudo-cylinder passed to the wide counter, or a system that is not the
-    two-group family expected by the 1-D reduction)."""
+    """Input has the wrong geometry for the requested operation (e.g. a
+    pseudo-cylinder shorter along its extension axis than across it, or a
+    system that is not the two-group family expected by the 1-D
+    reduction)."""
 
 
 class Unsupported(CarpetError):

@@ -1,10 +1,11 @@
 """Symbolic covers, empirical box counts, and point-cloud geometry.
 
 Cylinder rectangles, approximate squares (cylinders extended along the wider
-axis until the sides balance), pseudo-cylinder square counts, ball-localized
-box counting, a packing-sum falsification harness, Hausdorff distances
-between finite clouds, tangent-set approximations, and two one-dimensional
-fixtures.  All counting is symbolic over words; nothing is rasterized.
+axis until the sides balance), pseudo-cylinder square counts along either
+axis, ball-localized box counting, a packing-sum falsification harness,
+Hausdorff distances between finite clouds, tangent-set approximations, and
+two one-dimensional fixtures.  All counting is symbolic over words; nothing
+is rasterized.
 
 Every cover comes from one engine, ``_refine``, which refines numpy blocks
 of cylinder rectangles until a stop rule holds; each caller supplies only
@@ -14,7 +15,8 @@ column (a band) and finish it with a one-dimensional refinement along that
 row, which gives the cells of full refinement at the cost of the cells.
 A ladder of scales (``estimate``, ``boxcount``) is counted in one such
 refinement: each row carries the index of its scale, and one sort of the
-cell keys counts every scale.
+cell keys counts every scale.  Keys count from a lower bound on every
+cylinder coordinate, so maps may leave the unit square.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .systems import (BARANSKI, GATZOURAS_LALLEY, DiagonalMap,
 
 _EPS = 1e-12
 _CHUNK = 4096       # most child rows _refine makes at once; bounds its memory
+_LADDER = range(4, 10)  # dyadic exponents k of box_dimension_estimate
 
 
 @dataclass(frozen=True)
@@ -223,10 +226,10 @@ def _code_span(span):
 
 
 def _cell_keys(ix, iy, span, off=None):
-    """A sortable key per grid cell (whole-number float indices, iy < span):
-    the int64 code off + ix * span + iy, or, where span is None (no int64
-    code fits), the exact complex ix + i*iy.  span and off are shared or
-    per row."""
+    """A sortable key per grid cell (whole-number float indices): the int64
+    code off + ix * span + iy, one-to-one when span counts the indices and
+    off puts the lowest at 0, or, where span is None (no int64 code fits),
+    the exact complex ix + i*iy.  span and off are shared or per row."""
     if span is None:
         return ix + 1j * iy
     keys = ix.astype(np.int64) * span + iy.astype(np.int64)
@@ -313,7 +316,20 @@ def _threshold_leaves(start, limit, classes):
     return sum(block[0].size for block in leaves)
 
 
-def _pseudo_sides(system, i, uj, axis):
+def pseudo_cylinder_count(system, i, uj, axis=1) -> int:
+    """Exact number of maximal approximate squares in a pseudo-cylinder.
+
+    The pseudo-cylinder fixes the length-|i| word and |uj| further projected
+    classes on ``axis`` (1 extends columns, 2 rows); its extended side must
+    still be at least the fixed side.  Branches of projected extensions are
+    expanded until each one's extended side first drops to the fixed side,
+    and the branches are counted (1 at the threshold).
+    """
+    if system.klass not in (BARANSKI, GATZOURAS_LALLEY):
+        raise WrongClass("pseudo-cylinder counts need aligned projections, "
+                         "got %s" % system.klass)
+    if axis not in (1, 2):
+        raise RangeError("axis must be 1 or 2")
     classes = system.classes(axis)
     for letter in i:
         if not 0 <= letter < len(system.maps):
@@ -322,45 +338,13 @@ def _pseudo_sides(system, i, uj, axis):
         if not 0 <= cid < len(classes):
             raise IndexError("class id %d outside axis-%d classes"
                              % (cid, axis))
-    other = 2 if axis == 1 else 1
     along = math.prod(float(system.maps[m].ratio(axis)) for m in i)
     along *= math.prod(float(classes[c].ratio) for c in uj)
-    across = math.prod(float(system.maps[m].ratio(other)) for m in i)
-    return along, across
-
-
-def pseudo_cylinder_count(system, i, uj) -> int:
-    """Exact number of maximal approximate squares in a wide pseudo-cylinder.
-
-    The pseudo-cylinder fixes the length-|i| word and |uj| further projected
-    columns; its width must still be at least its height.  Branches of
-    projected extensions are expanded breadth-first until each one's width
-    first drops to the height, and the branches are counted.
-    """
-    width, height = _pseudo_sides(system, i, uj, axis=1)
-    if width < height * (1.0 - _EPS):
-        raise WrongShape("pseudo-cylinder is tall (width %g < height %g); "
-                         "use the axis-aware counter" % (width, height))
-    return _threshold_leaves(width, height, system.columns)
-
-
-def bar_pseudo_count(system, i, uj, axis=2) -> int:
-    """Approximate-square count for a pseudo-cylinder extended on either axis.
-
-    Same branch counting as pseudo_cylinder_count but the extension axis is
-    a parameter, which covers the tall pseudo-cylinders that occur in
-    mixed-orientation systems: the extended side shrinks until it first
-    drops to the fixed side.
-    """
-    if system.klass not in (BARANSKI, GATZOURAS_LALLEY):
-        raise WrongClass("pseudo-cylinder counts need aligned projections, "
-                         "got %s" % system.klass)
-    if axis not in (1, 2):
-        raise RangeError("axis must be 1 or 2")
-    along, across = _pseudo_sides(system, i, uj, axis)
-    if along <= across * (1.0 + _EPS):
-        return 1
-    return _threshold_leaves(along, across, system.classes(axis))
+    across = math.prod(float(system.maps[m].ratio(3 - axis)) for m in i)
+    if along < across * (1.0 - _EPS):
+        raise WrongShape("pseudo-cylinder is shorter along axis %d (%g) "
+                         "than across it (%g)" % (axis, along, across))
+    return _threshold_leaves(along, across, classes)
 
 
 # ------------------------------------------------------ empirical counting
@@ -440,6 +424,22 @@ def psi_estimate(system, delta, samples=16, seed=0, words=None,
     return best
 
 
+def _cell_floor(system):
+    """A lower bound on every coordinate of every cylinder: the low end of
+    [min(0, p), max(1, p)], over the fixed points p = d / (1 - r) of the
+    maps on both axes, an interval that each map sends into itself."""
+    return min([0.0] + [float(m.offset(axis)) / (1.0 - float(m.ratio(axis)))
+                        for m in system.maps for axis in (1, 2)])
+
+
+def _cell_range(s, floor):
+    """(lowest index, number of indices) of the side-s cells that cylinders
+    above ``floor`` can touch on either axis: from one cell below floor / s
+    (from 0 when floor is 0) to the clamped top cell ceil(1/s) - 1."""
+    low = math.floor(floor / s) - 1 if floor < 0.0 else 0
+    return low, math.ceil(1.0 / s) - low
+
+
 def _band_rates(system):
     """-1 / log r_max of each axis's largest ratio, which turns a long side
     into the levels of refinement left below it; None when some map leaves
@@ -501,18 +501,17 @@ def _grid_counts(system, scales):
     ``scales``, in their order (repeats allowed).
 
     The distinct scales are counted in one refinement, ``_ladder_count``,
-    as long as their int64 cell codes fit side by side: a side s has
-    ceil(1/s)^2 codes, and a run's codes must sum below 2^63.  Codes stay
-    in their scale's range only when every cell index lies in [0,
-    ceil(1/s)), which holds when each map keeps to the unit square;
-    otherwise each scale is counted on its own, and so is a scale with
-    2^31 or more cells a side, whose keys are complex.
+    as long as their int64 cell codes fit side by side: a side s has the
+    square of its ``_cell_range`` count of codes (ceil(1/s)^2 when the maps
+    keep to the unit square), and a run's codes must sum below 2^63.  A
+    scale with 2^31 or more cells a side is counted on its own, with
+    complex keys.
     """
-    rates = _band_rates(system)
+    rates, floor = _band_rates(system), _cell_floor(system)
     runs, room = [], 0
     for s in sorted(set(scales), reverse=True):
-        area = math.ceil(1.0 / s) ** 2
-        if rates is not None and area < min(room, 2 ** 62):
+        area = _cell_range(s, floor)[1] ** 2
+        if area < min(room, 2 ** 62):
             runs[-1].append(s)
             room -= area
         else:
@@ -532,8 +531,9 @@ def _ladder_count(system, scales, rates):
     (scalars when there is one scale).  Cylinders are refined until both
     sides are at most s; each leaf touches the cells from the one under its
     lower-left corner to the one under its upper-right corner, with the top
-    row and column clamped.  A cell's key is offset by the codes of the
-    coarser scales, so one sort counts every scale.
+    row and column clamped.  A cell's key is offset so that the lowest cell
+    ``_cell_range`` allows codes 0, and then by the codes of the coarser
+    scales, so one sort counts every scale.
 
     A cylinder with one side at most s and the other longer is a band once
     that short side lies in one grid row (or column) with room to spare:
@@ -552,15 +552,19 @@ def _ladder_count(system, scales, rates):
     """
     maps = _map_steps(system.maps)
     tops = [math.ceil(1.0 / s) - 1 for s in scales]
+    floor = _cell_floor(system)
+    low, span = zip(*(_cell_range(s, floor) for s in scales))
     root = _root()
     if len(scales) == 1:
-        (s,), (top,) = scales, tops
-        table = s, 1.0 / s, top, _code_span(top + 1), None
+        (s,), (top,), (low,), (span,) = scales, tops, low, span
+        table = (s, 1.0 / s, top, _code_span(span),
+                 -low * (span + 1) if low else None)
     else:
         s = np.array(scales)
-        span = np.array(tops, dtype=np.int64) + 1
+        low, span = (np.array(a, dtype=np.int64) for a in (low, span))
+        first = np.cumsum(span * span) - span * span    # each scale's codes
         table = (s, 1.0 / s, np.array(tops, dtype=float), span,
-                 np.cumsum(span * span) - span * span)
+                 first - low * (span + 1))
         root = tuple(np.repeat(a, len(scales)) for a in root) + (
             np.arange(len(scales)),)
 
@@ -634,28 +638,25 @@ def _ladder_count(system, scales, rates):
     keys = _distinct(np.concatenate(cells))
     if len(scales) == 1:
         return [int(keys.size)]
-    return np.diff(np.searchsorted(keys, table[4]), append=keys.size).tolist()
+    return np.diff(np.searchsorted(keys, first), append=keys.size).tolist()
 
 
 @lru_cache(maxsize=16)
-def box_dimension_estimate(system, k_lo=4, k_hi=9):
+def box_dimension_estimate(system):
     """Empirical box dimension: least-squares slope of log counts against
-    log scale over the dyadic ladder 2^-k, k_lo <= k <= k_hi, all counted
-    in one refinement.
+    log scale over the dyadic ladder 2^-k, k in ``_LADDER`` (4..9), all
+    counted in one refinement.
 
     Returns (slope, (low, high)) where the band is the spread of the
     adjacent two-point slopes, an honest indication of how settled the
     ladder is.  Results are cached per system.
     """
-    if not 2 <= k_lo < k_hi:
-        raise RangeError("need 2 <= k_lo < k_hi")
-    ks = list(range(k_lo, k_hi + 1))
-    logs = [k * math.log(2.0) for k in ks]
-    counts = _grid_counts(system, [2.0 ** -k for k in ks])
+    logs = [k * math.log(2.0) for k in _LADDER]
+    counts = _grid_counts(system, [2.0 ** -k for k in _LADDER])
     ys = [math.log(c) for c in counts]
     slope = float(np.polyfit(logs, ys, 1)[0])
     pair = [(ys[t + 1] - ys[t]) / (logs[t + 1] - logs[t])
-            for t in range(len(ks) - 1)]
+            for t in range(len(_LADDER) - 1)]
     return slope, (min(pair), max(pair))
 
 

@@ -168,34 +168,6 @@ def few_large_tangents(system: CarpetSystem):
     return False, None
 
 
-def baranski_level_profile(system: CarpetSystem, alpha, unverified=False):
-    """Piecewise profile of level-set dimensions for split systems.
-
-    For systems where few_large_tangents holds with witness j, the level
-    set at alpha has dimension dimH for alpha up to the smaller directional
-    total A_j' and drops to d_j above it; levels below the box dimension
-    dimB = max_j D_j are empty.  The formula is stated without proof in the
-    source material, so the call is gated: pass unverified=True to
-    acknowledge that the output is documented but not verified.  Returns
-    (value or None, details dict).
-    """
-    if not unverified:
-        raise Unsupported(
-            "the piecewise level profile is documented but unverified; "
-            "pass unverified=True to compute it anyway")
-    split, j = few_large_tangents(system)
-    if not split:
-        raise Unsupported("needs strictly split directional dimensions")
-    directional, dim_h, dim_a = baranski_dims(system)
-    cut = directional.A2 if j == 1 else directional.A1
-    low = directional.d1 if j == 1 else directional.d2
-    dim_b = system.analysis.box[0]
-    details = {"witness": j, "cut": cut, "dimB": dim_b, "unverified": True}
-    if alpha < dim_b - 1e-12 or alpha > dim_a + 1e-12:
-        return None, details
-    return (dim_h if alpha <= cut + 1e-12 else low), details
-
-
 def build_exceptional(delta):
     """Build the 12-map height-and-width interpolation family.
 

@@ -47,6 +47,15 @@ SLIVER_MAPS = [
                 Fraction(0)),
 ]
 
+# three maps wider than tall by 1/10^16 and one square map, all of side
+# about 1/10: the axis-1 thetas span [1 - 3.3e-16, 1], below what the
+# theta grid resolves
+NEAR_FLAT_MAPS = [
+    DiagonalMap(Fraction(10 ** 15 + 1, 10 ** 16), Fraction(1, 10), Fraction(0),
+                Fraction(d, 10)) for d in (0, 1, 2)] + [
+    DiagonalMap(Fraction(1, 10), Fraction(1, 10),
+                Fraction(10 ** 15 + 1, 10 ** 16), Fraction(0))]
+
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
@@ -372,6 +381,7 @@ def near_square_grids(draw):
 @given(near_square_grids())
 @example([DiagonalMap(Fraction(1, 3), Fraction(1, 3), Fraction(a, 3),
                       Fraction(b, 3)) for a in (0, 2) for b in (0, 2)])
+@example(NEAR_FLAT_MAPS)
 def test_axis_values_follow_the_exact_orientations(maps):
     system = validate(maps)
     signs = [(m.r1 > m.r2) - (m.r1 < m.r2) for m in system.maps]

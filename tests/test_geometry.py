@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from carpetdim import (DiagonalMap, EmptyInput, EventuallyPeriodicWord,
                        InvalidPacking, PointCloud, RangeError, Rect, WrongClass,
                        WrongShape, approximate_square, attractor_cloud,
-                       bar_pseudo_count, box_count_ball, box_dimension_estimate,
+                       box_count_ball, box_dimension_estimate,
                        build_exceptional, cylinders_to_scale, directed_hausdorff,
                        fixture_fast_decay, fixture_progressions,
                        hausdorff_distance, packing_check, projection_cloud,
@@ -214,6 +214,19 @@ def test_pseudo_count_rejects_tall_input():
     system = build_exceptional(Fraction(1, 40))
     with pytest.raises(WrongShape):
         pseudo_cylinder_count(system, (4,), ())
+    # map 0 is wider than tall, so extending rows leaves it short too
+    with pytest.raises(WrongShape):
+        pseudo_cylinder_count(system, (0,), (), axis=2)
+
+
+def test_pseudo_count_needs_aligned_projections():
+    bad = validate([
+        DiagonalMap(HALF, QUARTER, Fraction(0), Fraction(0)),
+        DiagonalMap(Fraction(1, 3), Fraction(1, 5), QUARTER, HALF),
+    ])
+    assert bad.klass == "DiagonalOnly"
+    with pytest.raises(WrongClass):
+        pseudo_cylinder_count(bad, (0,), ())
 
 
 def test_pseudo_count_comparable_to_aspect_power():
@@ -238,19 +251,12 @@ def test_pseudo_count_comparable_to_aspect_power():
     assert max(ratios) / min(ratios) < 4.0
 
 
-def test_bar_pseudo_count_matches_wide_counter():
-    system = uni4()
-    for i, uj in (((0,), ()), ((0,), (0,)), ((0, 1), (0, 1)), ((2,), (1,))):
-        assert bar_pseudo_count(system, i, uj, axis=1) == \
-            pseudo_cylinder_count(system, i, uj)
-
-
-def test_bar_pseudo_count_square_symmetry_and_threshold():
+def test_pseudo_count_square_symmetry_and_threshold():
     system = square4()
-    assert bar_pseudo_count(system, (0, 1), (), axis=1) == \
-        bar_pseudo_count(system, (0, 1), (), axis=2) == 1
+    assert pseudo_cylinder_count(system, (0, 1), (), axis=1) == \
+        pseudo_cylinder_count(system, (0, 1), (), axis=2) == 1
     with pytest.raises(RangeError):
-        bar_pseudo_count(system, (0,), (), axis=3)
+        pseudo_cylinder_count(system, (0,), (), axis=3)
 
 
 # ----------------------------------------------------------------- ball covers
@@ -601,12 +607,16 @@ def small_grid_carpets(draw):
 # on the grid line y = 1/2; and a wide band in the clamped top row
 BAND_ON_GRID_LINE = [(0.75, 0.25, 0.0, 0.25), (0.25, 0.5, 0.75, 0.5)]
 BAND_IN_TOP_ROW = [(0.75, 0.25, 0.0, 0.75), (0.25, 0.5, 0.75, 0.0)]
+# maps that reach below 0 on both axes and above 1 on the second
+OUTSIDE_THE_SQUARE = [(0.4, 0.3, -0.7, 0.0), (0.5, 0.5, 0.5, 0.6),
+                      (0.3, 0.3, 0.2, -0.5)]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(small_grid_carpets(), st.integers(1, 5))
 @example(BAND_ON_GRID_LINE, 3)
 @example(BAND_IN_TOP_ROW, 2)
+@example(OUTSIDE_THE_SQUARE, 5)
 def test_grid_count_matches_full_refinement(maps, k):
     expected = load_geometry_oracle().grid_count(maps, 2.0 ** -k)
     assert _grid_count(validate(maps), 2.0 ** -k) == expected
@@ -617,6 +627,7 @@ def test_grid_count_matches_full_refinement(maps, k):
        st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True))
 @example(BAND_ON_GRID_LINE, [3, 1, 5])
 @example(BAND_IN_TOP_ROW, [2, 4])
+@example(OUTSIDE_THE_SQUARE, [2, 3, 4, 5])
 def test_grid_count_ladder_matches_full_refinement_at_every_rung(maps, ks):
     oracle = load_geometry_oracle()
     scales = [2.0 ** -k for k in ks]

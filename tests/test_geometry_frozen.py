@@ -11,7 +11,7 @@ import hashlib
 from fractions import Fraction
 
 from carpetdim import (DiagonalMap, EventuallyPeriodicWord,
-                       approximate_square, attractor_cloud, bar_pseudo_count,
+                       approximate_square, attractor_cloud,
                        box_count_ball, box_dimension_estimate,
                        build_exceptional, cylinders_to_scale,
                        projection_cloud, psi_estimate, pseudo_cylinder_count,
@@ -156,7 +156,7 @@ def test_pseudo_counts_frozen():
     assert [pseudo_cylinder_count(system, (0,) * n, uj)
             for n, uj in ((1, ()), (4, ()), (6, ()), (6, (0,)),
                           (8, (1,)))] == [5, 9, 9, 5, 5]
-    assert [bar_pseudo_count(system, (4,) * 3, (), axis=2),
-            bar_pseudo_count(system, (4,) * 5, (0,), axis=2),
-            bar_pseudo_count(system, (0, 0), (), axis=1),
-            bar_pseudo_count(gl3(), (0,), (), axis=1)] == [4, 4, 5, 2]
+    assert [pseudo_cylinder_count(system, (4,) * 3, (), axis=2),
+            pseudo_cylinder_count(system, (4,) * 5, (0,), axis=2),
+            pseudo_cylinder_count(system, (0, 0), (), axis=1),
+            pseudo_cylinder_count(gl3(), (0,), (), axis=1)] == [4, 4, 5, 2]

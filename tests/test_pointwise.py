@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carpetdim import (DiagonalMap, EventuallyPeriodicWord, RangeError,
-                       Unsupported, WrongClass, baranski_level_profile,
+                       Unsupported, WrongClass, baranski_dims,
                        build_exceptional, few_large_tangents, gl_dims,
                        level_set_dim, pointwise_assouad_baranski,
                        pointwise_assouad_gl, symbolic_slice, validate)
@@ -244,12 +244,6 @@ def test_baranski_box_term_runs_no_grid_count(monkeypatch):
     for period in ((0,), (4,), (0, 4), (5, 9, 1)):
         report = pointwise_assouad_baranski(system, word((), period))
         assert report.pointwise_assouad == max(dim_b, report.tangent_dim)
-    # the level profile's lower cut-off is the same closed form
-    _, details = baranski_level_profile(system, 1.7, unverified=True)
-    assert details["dimB"] == dim_b
-    below, _ = baranski_level_profile(system, dim_b - 1e-9, unverified=True)
-    at, _ = baranski_level_profile(system, dim_b, unverified=True)
-    assert below is None and at is not None
 
 
 def test_pointwise_baranski_rejects_balanced_words():
@@ -323,33 +317,7 @@ def test_few_large_tangents_wrong_class():
         few_large_tangents(bad)
 
 
-# ------------------------------------------------------ level-set profile
-
-def test_level_profile_is_gated():
-    system = build_exceptional(Fraction(1, 40))
-    with pytest.raises(Unsupported, match="unverified"):
-        baranski_level_profile(system, 1.7)
-
-
-def test_level_profile_values_and_details():
-    system = build_exceptional(Fraction(1, 40))
-    value, details = baranski_level_profile(system, 1.7, unverified=True)
-    assert details["witness"] == 1
-    assert details["cut"] == pytest.approx(EXC40_A2, abs=1e-12)
-    assert details["unverified"] is True
-    # 1.7 sits above the smaller directional total, on the flat d1 branch
-    assert value == pytest.approx(EXC40_D1, abs=1e-12)
-
-    top, _ = baranski_level_profile(system, EXC40_A1, unverified=True)
-    assert top == pytest.approx(EXC40_D1, abs=1e-12)
-
-    below, _ = baranski_level_profile(system, 1.4, unverified=True)
-    assert below is None
-    above, _ = baranski_level_profile(system, 1.95, unverified=True)
-    assert above is None
-
-
-def test_level_profile_maximises_each_axis_once(monkeypatch):
+def test_split_test_maximises_each_axis_once(monkeypatch):
     axes = []
     init = _AxisProblem.__init__
 
@@ -359,11 +327,8 @@ def test_level_profile_maximises_each_axis_once(monkeypatch):
 
     monkeypatch.setattr(_AxisProblem, "__init__", counted)
     system = build_exceptional("1/40")
-    baranski_level_profile(system, 1.7, unverified=True)
-    baranski_level_profile(system, 1.4, unverified=True)
+    assert few_large_tangents(system) == (True, 1)
+    directional, _, _ = baranski_dims(system)
+    assert directional.d1 == pytest.approx(EXC40_D1, abs=1e-12)
+    assert baranski_dims(system)[0] == directional
     assert sorted(axes) == [1, 2]
-
-
-def test_level_profile_needs_split():
-    with pytest.raises(Unsupported, match="split"):
-        baranski_level_profile(square4(), 1.3, unverified=True)
