@@ -149,6 +149,7 @@ def _emit(envelope) -> None:
 
 
 # --------------------------------------------------------------- commands
+# Every handler returns (results, warnings, extra diagnostics).
 
 def _cmd_validate(system, args):
     results = {
@@ -160,7 +161,7 @@ def _cmd_validate(system, args):
         "eta2_ssc": system.eta2_ssc,
         "exact": system.exact,
     }
-    return results, list(system.warnings)
+    return results, list(system.warnings), {}
 
 
 def _cmd_dims(system, args):
@@ -206,13 +207,13 @@ def _cmd_pointwise(system, args):
     if report.regularity_warning:
         warnings.append("projected system is not strongly separated; "
                         "pointwise values are only lower bounds")
-    return results, warnings
+    return results, warnings, {}
 
 
 def _cmd_levelset(system, args):
     value, full_measure = level_set_dim(system, args.alpha)
     return {"alpha": args.alpha, "dim": value,
-            "full_measure": full_measure}, []
+            "full_measure": full_measure}, [], {}
 
 
 def _cmd_fiber(seq, args):
@@ -223,7 +224,7 @@ def _cmd_fiber(seq, args):
         "period_length": len(seq.period),
         "preperiod_length": len(seq.preperiod),
     }
-    return results, []
+    return results, [], {}
 
 
 def _cmd_boxcount(system, args):
@@ -244,22 +245,22 @@ def _cmd_boxcount(system, args):
     if args.out:
         write_scale_counts_csv(rows, args.out)
         results["csv"] = args.out
-    return results, []
+    return results, [], {}
 
 
 def _cmd_render(system, args):
     count = render_svg(system, args.depth, args.out)
-    return {"depth": args.depth, "rectangles": count, "svg": args.out}, []
+    return {"depth": args.depth, "rectangles": count, "svg": args.out}, [], {}
 
 
 def _cmd_example(args):
     system = build_exceptional(args.delta)
-    return {"delta": args.delta, "system": system_to_config(system)}, []
+    return {"delta": args.delta, "system": system_to_config(system)}, [], {}
 
 
 def _cmd_estimate(system, args):
     slope, band = box_dimension_estimate(system)
-    return {"dimB_estimate": slope, "band": [band[0], band[1]]}, []
+    return {"dimB_estimate": slope, "band": [band[0], band[1]]}, [], {}
 
 
 _HANDLERS = {
@@ -369,23 +370,19 @@ def run(argv=None) -> int:
     try:
         if args.command == "example-baranski":
             digest = _digest({"delta": args.delta})
-            results, warnings = _cmd_example(args)
+            results, warnings, extra = _cmd_example(args)
         elif args.command == "fiber":
             seq = parse_columns(_read_text(args.columns))
             digest = _digest({"preperiod": seq.preperiod,
                               "period": seq.period})
-            results, warnings = _cmd_fiber(seq, args)
+            results, warnings, extra = _cmd_fiber(seq, args)
         else:
             system = system_from_config(load_config(_read_text(args.input)))
             digest = _digest(system_to_config(system))
             diagnostics["klass"] = system.klass
             diagnostics["exact_input"] = system.exact
-            out = _HANDLERS[args.command](system, args)
-            if len(out) == 3:
-                results, warnings, extra = out
-                diagnostics.update(extra)
-            else:
-                results, warnings = out
+            results, warnings, extra = _HANDLERS[args.command](system, args)
+        diagnostics.update(extra)
     except _UNSUPPORTED as exc:
         return _fail(args.command, digest, diagnostics, exc, 3)
     except _VALIDATION as exc:

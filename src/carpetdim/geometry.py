@@ -48,10 +48,8 @@ class Rect:
     height: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", float(self.x0))
-        object.__setattr__(self, "y0", float(self.y0))
-        object.__setattr__(self, "width", float(self.width))
-        object.__setattr__(self, "height", float(self.height))
+        for name in ("x0", "y0", "width", "height"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.width <= 0.0 or self.height <= 0.0:
             raise RangeError("rectangle sides must be positive")
 
@@ -85,25 +83,29 @@ class ApproxSquare:
     axis: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """Finite stand-in for a compact set: every point of the represented set
-    lies within ``resolution`` of some cloud point."""
+    lies within ``resolution`` of some cloud point.  ``points`` is a
+    read-only (N, d) float64 array; clouds compare by identity."""
 
-    points: tuple
+    points: np.ndarray
     resolution: float
 
     def __post_init__(self):
-        pts = tuple(tuple(float(c) for c in p) for p in self.points)
+        try:
+            pts = np.array(self.points, dtype=float, ndmin=1)
+        except ValueError as exc:       # rows of unequal length
+            raise WrongShape("points must form an (N, d) array") from exc
+        if not len(pts):
+            raise EmptyInput("point cloud needs at least one point")
+        if pts.ndim != 2 or not pts.shape[1]:
+            raise WrongShape("points must form an (N, d) array")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "resolution", float(self.resolution))
-        if not pts:
-            raise EmptyInput("point cloud needs at least one point")
         if self.resolution <= 0.0:
             raise RangeError("resolution must be positive")
-
-    def array(self):
-        return np.asarray(self.points, dtype=float)
 
     def __len__(self):
         return len(self.points)
@@ -124,10 +126,6 @@ def _compose(maps, one=1.0):
         w *= m.r1
         h *= m.r2
     return x, y, w, h
-
-
-def _cylinder_rect(system, word) -> Rect:
-    return Rect(*_compose(system.maps[i] for i in word))
 
 
 def _point_at(system, gamma: EventuallyPeriodicWord):
@@ -375,17 +373,23 @@ def _ball_grid_count(system, gamma, R, s):
 
     Cylinders are refined until both sides fit in one cell, then the cell
     under the rectangle centre is marked; that keeps the count free of the
-    cylinder-side snapping that inflates the symbolic square cover.
+    cylinder-side snapping that inflates the symbolic square cover.  Cells
+    take ``_ladder_count``'s keys, but centres are not clamped to the top
+    cell, so the span reaches up to max(1, p) over the maps' fixed points p.
     """
     maps = _map_steps(system.maps)
-    span = _code_span(int(1.0 / s) + 2)
+    low = _cell_range(s, _cell_floor(system))[0]
+    high = max([1.0] + [float(m.offset(axis)) / (1.0 - float(m.ratio(axis)))
+                        for m in system.maps for axis in (1, 2)])
+    span = math.floor(high / s) + 1 - low
     cells = [np.empty(0, dtype=np.int64)]
     for x0, y0, w, h in _refine(_root(), maps,
                                 lambda x0, y0, w, h, n: (w <= s) & (h <= s),
                                 _near(*_point_at(system, gamma), R)):
         cells.append(_distinct(_cell_keys(np.trunc((x0 + 0.5 * w) / s),
                                           np.trunc((y0 + 0.5 * h) / s),
-                                          span)))
+                                          _code_span(span),
+                                          -low * (span + 1))))
     return int(_distinct(np.concatenate(cells)).size)
 
 
@@ -711,8 +715,8 @@ def packing_check(system, ball, packing, alpha) -> bool:
         radius = float(radius)
         if radius <= 0.0:
             raise InvalidPacking("radius must be positive")
-        px, py = _cylinder_rect(system, tuple(word)).center
-        discs.append((px, py, radius))
+        rect = Rect(*_compose(system.maps[i] for i in word))
+        discs.append((*rect.center, radius))
     for t, (px, py, pr) in enumerate(discs):
         if math.hypot(px - cx, py - cy) + pr > R * (1.0 + 1e-9):
             raise InvalidPacking("disc %d leaves the reference ball" % t)
@@ -733,8 +737,7 @@ def directed_hausdorff(a: PointCloud, b: PointCloud) -> float:
     carpetdim loads scipy, so it is imported here rather than with the
     module: ``import carpetdim`` and every CLI command stay free of it."""
     from scipy.spatial import cKDTree
-    pa, pb = a.array(), b.array()
-    return float(cKDTree(pb).query(pa)[0].max())
+    return float(cKDTree(b.points).query(a.points)[0].max())
 
 
 def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
@@ -749,18 +752,15 @@ def attractor_cloud(system, resolution) -> PointCloud:
     every cylinder are at most the resolution, then emit centers."""
     if resolution <= 0.0 or resolution >= 1.0:
         raise RangeError("resolution must lie in (0, 1)")
-    pts = [rect.center for _, rect in
-           cylinders_to_scale(system, resolution, axis=0)]
-    return PointCloud(tuple(pts), resolution)
+    rects = cylinders_to_scale(system, resolution, axis=0)
+    return PointCloud([rect.center for _, rect in rects], resolution)
 
 
 def _line_cloud(children, resolution) -> PointCloud:
     """1-D cloud of the centres of first-axis intervals at the resolution."""
-    pts = []
-    for x0, _, w, _ in _refine(_root(), children,
-                               lambda x0, y0, w, h, n: w <= resolution):
-        pts.extend(zip((x0 + 0.5 * w).tolist()))
-    return PointCloud(tuple(sorted(pts)), resolution)
+    xs = np.concatenate([x0 + 0.5 * w for x0, _, w, _ in _refine(
+        _root(), children, lambda x0, y0, w, h, n: w <= resolution)])
+    return PointCloud(xs[np.lexsort((xs,)), None], resolution)
 
 
 def projection_cloud(system, axis, resolution) -> PointCloud:
@@ -824,9 +824,10 @@ def tangent_cloud(system, gamma: EventuallyPeriodicWord, k,
         # through projected columns, which keep y0 and h
         for x0, y0, w, h in _refine(block, cols,
                                     lambda x0, y0, w, h, n: w <= wlim):
-            pts.extend(zip(((x0 + 0.5 * w - box.x0) / box.width).tolist(),
-                           ((y0 + 0.5 * h - box.y0) / box.height).tolist()))
-    return PointCloud(tuple(sorted(pts)), resolution)
+            pts.append(np.column_stack(((x0 + 0.5 * w - box.x0) / box.width,
+                                        (y0 + 0.5 * h - box.y0) / box.height)))
+    pts = np.concatenate(pts)       # rows in sorted() order: by x, then y
+    return PointCloud(pts[np.lexsort(pts.T[::-1])], resolution)
 
 
 # ------------------------------------------------------------- fixtures
@@ -840,7 +841,7 @@ def fixture_progressions(kmax) -> PointCloud:
     for k in range(1, kmax + 1):
         base, step = 2.0 ** -k, 4.0 ** -k
         pts.extend((base + ell * step,) for ell in range(k + 1))
-    return PointCloud(tuple(sorted(pts)), np.finfo(float).eps)
+    return PointCloud(sorted(pts), np.finfo(float).eps)
 
 
 def fixture_fast_decay(kmax) -> PointCloud:
@@ -850,11 +851,10 @@ def fixture_fast_decay(kmax) -> PointCloud:
         raise RangeError("kmax must be >= 2")
     pts = {(0.0,)}
     for k in range(1, kmax + 1):
-        a = 4.0 ** -(k * k)
-        top = 2 ** k
+        a, top = 4.0 ** -(k * k), 2 ** k
         for ell in range(top // k + 1):
             pts.add((a * (top - ell) / top,))
-    return PointCloud(tuple(sorted(pts)), np.finfo(float).eps)
+    return PointCloud(sorted(pts), np.finfo(float).eps)
 
 
 # ------------------------------------------------------------- emission

@@ -102,6 +102,21 @@ def test_rect_and_cloud_validation():
         PointCloud((), 0.5)
     with pytest.raises(RangeError):
         PointCloud(((0.0, 0.0),), 0.0)
+    # points: one read-only (N, d) float64 array, copied from the input
+    rows, other = ((0.0, 0.0), (1.0, 0.5)), ((3.0, 4.0), (0.25, 1.0))
+    source = np.array(rows, dtype=float)
+    cloud = PointCloud(source, 0.5)
+    assert cloud.points.shape == (2, 2) and cloud.points.dtype == np.float64
+    with pytest.raises(ValueError):
+        cloud.points[0, 0] = 2.0
+    source[0, 0] = 2.0
+    assert cloud.points[0, 0] == 0.0
+    for bad in ((0.0, 1.0, 2.0), ((0.0,), (1.0, 2.0)), ((),), 1.0):
+        with pytest.raises(WrongShape):
+            PointCloud(bad, 0.5)
+    assert hausdorff_distance(PointCloud(rows, 0.5), PointCloud(other, 0.5)) \
+        == hausdorff_distance(cloud, PointCloud(np.array(other), 0.5)) \
+        == math.hypot(2.0, 3.5)
 
 
 # ----------------------------------------------------------------- sections

@@ -8,6 +8,7 @@ order shows up as a changed digest.
 """
 
 import hashlib
+import math
 from fractions import Fraction
 
 from carpetdim import (DiagonalMap, EventuallyPeriodicWord,
@@ -16,7 +17,8 @@ from carpetdim import (DiagonalMap, EventuallyPeriodicWord,
                        build_exceptional, cylinders_to_scale,
                        projection_cloud, psi_estimate, pseudo_cylinder_count,
                        render_svg, slice_cloud, tangent_cloud, validate)
-from carpetdim.geometry import _ball_grid_count, _grid_count, _grid_counts
+from carpetdim.geometry import (_ball_grid_count, _grid_count, _grid_counts,
+                                _point_at)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -82,9 +84,39 @@ def test_ball_counts_frozen():
     assert box_count_ball(exc(), word((), (7,)), 0.25, 2.0 ** -8) == 5457
 
 
+def centre_cells(maps, centre, R, s):
+    """The (ix, iy) cells under the centres of the cylinders that meet the
+    ball B(centre, R) once both sides are at most s: a plain depth-first
+    refinement with the float steps and ball test of ``_ball_grid_count``."""
+    (cx, cy), stack, cells = centre, [(0.0, 0.0, 1.0, 1.0)], set()
+    while stack:
+        x0, y0, w, h = stack.pop()
+        dx = max(x0 - cx, 0.0, cx - (x0 + w))
+        dy = max(y0 - cy, 0.0, cy - (y0 + h))
+        if dx * dx + dy * dy > R * R * (1.0 + 1e-12):
+            continue
+        if w <= s and h <= s:
+            cells.add((math.trunc((x0 + 0.5 * w) / s),
+                       math.trunc((y0 + 0.5 * h) / s)))
+        else:
+            stack.extend((x0 + w * d1, y0 + h * d2, w * r1, h * r2)
+                         for r1, r2, d1, d2 in maps)
+    return cells
+
+
 def test_ball_grid_counts_and_psi_frozen():
     assert _ball_grid_count(exc(), word((), (0, 5)), 0.25, 2.0 ** -8) == 1848
     assert _ball_grid_count(gl3(), word((1,), (2,)), 0.5, 2.0 ** -9) == 2013
+    # maps that leave the unit square: every distinct centre cell counts,
+    # rows and columns beyond the top one too
+    for maps, gamma, R, s, size in (
+            ([(0.4, 0.3, -0.7, 0.0), (0.5, 0.5, 0.5, 0.6),
+              (0.3, 0.3, 0.2, -0.5)], word((), (1, 2)), 0.95, 1 / 128, 332),
+            ([(0.3, 0.5, 0.8, 0.5), (0.5, 0.5, 0.8, 0.0),
+              (0.4, 0.5, 0.8, 0.9)], word((), (0,)), 0.99, 1 / 8, 22)):
+        cells = centre_cells(maps, _point_at(validate(maps), gamma), R, s)
+        assert len(cells) == size
+        assert _ball_grid_count(validate(maps), gamma, R, s) == size
     assert psi_estimate(gl3(), 2.0 ** -8) == 1.3360312886416472
     assert psi_estimate(exc(), 2.0 ** -6, samples=4) == 1.6568412677234303
 
@@ -140,7 +172,8 @@ def test_clouds_frozen():
     }
     for name, (cloud, size, sha) in clouds.items():
         assert (name, len(cloud)) == (name, size)
-        assert (name, digest(cloud.points)) == (name, sha)
+        rows = tuple(map(tuple, cloud.points.tolist()))
+        assert (name, digest(rows)) == (name, sha)
 
 
 def test_render_svg_frozen(tmp_path):
