@@ -223,15 +223,14 @@ def _code_span(span):
     return span if span < 2 ** 31 else None
 
 
-def _cell_keys(ix, iy, span, off=None):
+def _cell_keys(ix, iy, span, off):
     """A sortable key per grid cell (whole-number float indices): the int64
     code off + ix * span + iy, one-to-one when span counts the indices and
     off puts the lowest at 0, or, where span is None (no int64 code fits),
     the exact complex ix + i*iy.  span and off are shared or per row."""
     if span is None:
         return ix + 1j * iy
-    keys = ix.astype(np.int64) * span + iy.astype(np.int64)
-    return keys if off is None else keys + off
+    return ix.astype(np.int64) * span + iy.astype(np.int64) + off
 
 
 def _distinct(keys):
@@ -306,12 +305,22 @@ def approximate_square(system, gamma: EventuallyPeriodicWord,
 
 # ------------------------------------------------------ pseudo-cylinders
 
-def _threshold_leaves(start, limit, classes):
-    """Number of extension branches whose product first drops <= limit."""
-    ext = _steps((c.ratio, 1, 0, 0) for c in classes)
-    bound = limit * (1.0 + _EPS)
-    leaves = _refine(_root(w=start), ext, lambda x0, y0, w, h, n: w <= bound)
-    return sum(block[0].size for block in leaves)
+def _squares(blocks, system, keep=None):
+    """Leaf blocks of the approximate squares over blocks of cylinders.
+
+    Each row is extended along its longer axis, by projected columns when
+    w >= h and by projected rows otherwise, until that side first drops to
+    at most the other; ``keep`` prunes rows as in ``_refine``.
+    """
+    rules = ((_steps((c.ratio, 1, c.offset, 0) for c in system.columns),
+              lambda x0, y0, w, h, n: w <= h * (1.0 + _EPS)),
+             (_steps((1, c.ratio, 0, c.offset) for c in system.rows),
+              lambda x0, y0, w, h, n: h <= w * (1.0 + _EPS)))
+    for block in blocks:
+        wide = block[2] >= block[3]
+        for rows, (ext, done) in zip((wide, ~wide), rules):
+            if rows.any():
+                yield from _refine(_rows(block, rows), ext, done, keep)
 
 
 def pseudo_cylinder_count(system, i, uj, axis=1) -> int:
@@ -319,9 +328,8 @@ def pseudo_cylinder_count(system, i, uj, axis=1) -> int:
 
     The pseudo-cylinder fixes the length-|i| word and |uj| further projected
     classes on ``axis`` (1 extends columns, 2 rows); its extended side must
-    still be at least the fixed side.  Branches of projected extensions are
-    expanded until each one's extended side first drops to the fixed side,
-    and the branches are counted (1 at the threshold).
+    still be at least the fixed side.  The approximate squares of that
+    rectangle (``_squares``) are counted, 1 at the threshold.
     """
     if system.klass not in (BARANSKI, GATZOURAS_LALLEY):
         raise WrongClass("pseudo-cylinder counts need aligned projections, "
@@ -342,7 +350,10 @@ def pseudo_cylinder_count(system, i, uj, axis=1) -> int:
     if along < across * (1.0 - _EPS):
         raise WrongShape("pseudo-cylinder is shorter along axis %d (%g) "
                          "than across it (%g)" % (axis, along, across))
-    return _threshold_leaves(along, across, classes)
+    along = max(along, across)    # within _EPS short of square: one square
+    sides = (along, across) if axis == 1 else (across, along)
+    return sum(block[0].size
+               for block in _squares([_root(0.0, 0.0, *sides)], system))
 
 
 # ------------------------------------------------------ empirical counting
@@ -351,21 +362,18 @@ def box_count_ball(system, gamma: EventuallyPeriodicWord, R, r) -> int:
     """Number of scale-r approximate squares meeting the closed ball
     B(pi(gamma), R), counted exactly over the symbolic cover.
 
-    Base words are the height section at r; each base is extended by
-    projected columns until the width first drops to the base height, and
-    the resulting rectangles are tested against the ball.
+    Base words are the section where the shorter side first drops to r;
+    each base is extended along its longer axis, whichever it is, into
+    approximate squares (``_squares``) that are tested against the ball.
     """
     R = float(R)
     r = float(r)
     if not 0.0 < r <= R < 1.0:
         raise RangeError("need 0 < r <= R < 1, got r=%g R=%g" % (r, R))
     near = _near(*_point_at(system, gamma), R)
-    maps = _map_steps(system.maps)
-    cols = _steps((c.ratio, 1, c.offset, 0) for c in system.columns)
-    bases = _refine(_root(), maps, lambda x0, y0, w, h, n: h <= r, near)
-    return sum(block[0].size for base in bases
-               for block in _refine(base, cols, lambda x0, y0, w, h, n:
-                                    w <= h * (1.0 + _EPS), near))
+    bases = _refine(_root(), _map_steps(system.maps),
+                    lambda x0, y0, w, h, n: np.minimum(w, h) <= r, near)
+    return sum(block[0].size for block in _squares(bases, system, near))
 
 
 def _ball_grid_count(system, gamma, R, s):
@@ -377,13 +385,11 @@ def _ball_grid_count(system, gamma, R, s):
     take ``_ladder_count``'s keys, but centres are not clamped to the top
     cell, so the span reaches up to max(1, p) over the maps' fixed points p.
     """
-    maps = _map_steps(system.maps)
-    low = _cell_range(s, _cell_floor(system))[0]
-    high = max([1.0] + [float(m.offset(axis)) / (1.0 - float(m.ratio(axis)))
-                        for m in system.maps for axis in (1, 2)])
+    floor, high = _fixed_range(system)
+    low = _cell_range(s, floor)[0]
     span = math.floor(high / s) + 1 - low
     cells = [np.empty(0, dtype=np.int64)]
-    for x0, y0, w, h in _refine(_root(), maps,
+    for x0, y0, w, h in _refine(_root(), _map_steps(system.maps),
                                 lambda x0, y0, w, h, n: (w <= s) & (h <= s),
                                 _near(*_point_at(system, gamma), R)):
         cells.append(_distinct(_cell_keys(np.trunc((x0 + 0.5 * w) / s),
@@ -428,12 +434,13 @@ def psi_estimate(system, delta, samples=16, seed=0, words=None,
     return best
 
 
-def _cell_floor(system):
-    """A lower bound on every coordinate of every cylinder: the low end of
-    [min(0, p), max(1, p)], over the fixed points p = d / (1 - r) of the
-    maps on both axes, an interval that each map sends into itself."""
-    return min([0.0] + [float(m.offset(axis)) / (1.0 - float(m.ratio(axis)))
-                        for m in system.maps for axis in (1, 2)])
+def _fixed_range(system):
+    """Bounds on every coordinate of every cylinder: the interval
+    [min(0, p), max(1, p)] over the fixed points p = d / (1 - r) of the
+    maps on both axes, which each map sends into itself."""
+    points = [float(m.offset(axis)) / (1.0 - float(m.ratio(axis)))
+              for m in system.maps for axis in (1, 2)]
+    return min([0.0] + points), max([1.0] + points)
 
 
 def _cell_range(s, floor):
@@ -473,10 +480,11 @@ def _band_guard(long, short, s, rate):
     return 2.0 ** -53 * (levels + 3.0 + 4.0 * levels * short)
 
 
-def _span_keys(ax, bx, ay, by, span, off=None):
+def _span_keys(ax, bx, ay, by, span, off):
     """Sorted distinct keys of every cell from (ax, ay) to (bx, by) per row,
     one offset at a time; a key is linear in the cell indices, so an offset
-    cell's key is the corner's key plus the offset's."""
+    cell's key is the corner's key plus the offset's.  ``span`` and ``off``
+    are per row, or None for complex keys."""
     if not ax.size:
         return np.empty(0, dtype=np.int64)
     base = _cell_keys(ax, ay, span, off)
@@ -486,10 +494,7 @@ def _span_keys(ax, bx, ay, by, span, off=None):
         for dy in range(int(ey.max()) + 1):
             if dx or dy:
                 hit = (ex >= dx) & (ey >= dy)
-                if span is None:
-                    step = dx + 1j * dy
-                else:
-                    step = dx * (span[hit] if np.ndim(span) else span) + dy
+                step = dx + 1j * dy if span is None else dx * span[hit] + dy
                 keys.append(base[hit] + step)
     return _distinct(np.concatenate(keys))
 
@@ -511,7 +516,7 @@ def _grid_counts(system, scales):
     scale with 2^31 or more cells a side is counted on its own, with
     complex keys.
     """
-    rates, floor = _band_rates(system), _cell_floor(system)
+    rates, floor = _band_rates(system), _fixed_range(system)[0]
     runs, room = [], 0
     for s in sorted(set(scales), reverse=True):
         area = _cell_range(s, floor)[1] ** 2
@@ -531,13 +536,14 @@ def _ladder_count(system, scales, rates):
     """Grid counts at the distinct ``scales``, coarse first, in one pass.
 
     The root block holds the unit square once per scale, tagged with the
-    scale's index, and every row reads its own s, 1/s and top cell index
-    (scalars when there is one scale).  Cylinders are refined until both
-    sides are at most s; each leaf touches the cells from the one under its
-    lower-left corner to the one under its upper-right corner, with the top
-    row and column clamped.  A cell's key is offset so that the lowest cell
-    ``_cell_range`` allows codes 0, and then by the codes of the coarser
-    scales, so one sort counts every scale.
+    scale's index, and every row reads its own s, 1/s and top cell index.
+    Cylinders are refined until both sides are at most s; each leaf touches
+    the cells from the one under its lower-left corner to the one under its
+    upper-right corner, with the top row and column clamped.  A cell's key
+    is offset so that the lowest cell ``_cell_range`` allows codes 0, and
+    then by the codes of the coarser scales, so one sort counts every scale
+    from the key of its lowest cell on; complex keys, which take no offset,
+    come from ``_grid_counts`` one scale at a time.
 
     A cylinder with one side at most s and the other longer is a band once
     that short side lies in one grid row (or column) with room to spare:
@@ -554,40 +560,37 @@ def _ladder_count(system, scales, rates):
     refinement.  Each scale's rows take exactly the float steps of a count
     at that scale alone.
     """
-    maps = _map_steps(system.maps)
-    tops = [math.ceil(1.0 / s) - 1 for s in scales]
-    floor = _cell_floor(system)
+    floor = _fixed_range(system)[0]
     low, span = zip(*(_cell_range(s, floor) for s in scales))
-    root = _root()
-    if len(scales) == 1:
-        (s,), (top,), (low,), (span,) = scales, tops, low, span
-        table = (s, 1.0 / s, top, _code_span(span),
-                 -low * (span + 1) if low else None)
-    else:
-        s = np.array(scales)
-        low, span = (np.array(a, dtype=np.int64) for a in (low, span))
-        first = np.cumsum(span * span) - span * span    # each scale's codes
-        table = (s, 1.0 / s, np.array(tops, dtype=float), span,
-                 first - low * (span + 1))
-        root = tuple(np.repeat(a, len(scales)) for a in root) + (
-            np.arange(len(scales)),)
+    low = np.array(low, dtype=float)
+    if _code_span(max(span)):   # int64 codes, each scale's after coarser ones
+        span = np.array(span, dtype=np.int64)
+        area = span * span
+        off = np.cumsum(area) - area - low.astype(np.int64) * (span + 1)
+    else:                       # complex keys, for a run of one scale
+        span = off = None
+    lowest = _cell_keys(low, low, span, off)    # the least key of each scale
+    s = np.array(scales)
+    table = (s, 1.0 / s, np.ceil(1.0 / s) - 1.0, span, off)
+    root = tuple(np.repeat(a, len(scales)) for a in _root()) + (
+        np.arange(len(scales)),)
 
-    def at(*tag):
+    def at(tag):
         """s, 1/s, the top cell index, the key span and the key offset of
-        rows tagged with their scale index; shared scalars for one scale."""
-        return tuple(a[tag[0]] for a in table) if tag else table
+        rows tagged with their scale index."""
+        return tuple(None if a is None else a[tag] for a in table)
 
     def index(v, inv, top):
         return np.minimum(np.trunc(v * inv), top)
 
-    def done(x0, y0, w, h, depth, *tag):
-        s = at(*tag)[0]
+    def done(x0, y0, w, h, depth, tag):
+        s = table[0][tag]
         wide, tall = w > s, h > s
         stop = ~(wide | tall)
         if rates is not None:
             thin = np.flatnonzero(wide ^ tall)
             if thin.size:
-                s, inv, top, _, _ = at(*(a[thin] for a in tag))
+                s, inv, top, _, _ = at(tag[thin])
                 row = wide[thin]
                 lo = np.where(row, y0[thin], x0[thin])
                 side = np.where(row, h[thin], w[thin])
@@ -598,7 +601,7 @@ def _ladder_count(system, scales, rates):
         return stop
 
     # per axis: the distinct (ratio, offset) pairs, and the buffered bands
-    # as (start, row or column index, length, s[, scale index]) blocks
+    # as (start, row or column index, length, s, scale index) blocks
     pairs = [_steps((r, 1, d, 0) for r, d in sorted(
         {(float(m.ratio(axis)), float(m.offset(axis))) for m in system.maps}))
         for axis in (1, 2)]
@@ -608,31 +611,29 @@ def _ladder_count(system, scales, rates):
     def flush(axis):
         block = tuple(np.concatenate(a) for a in zip(*bands[axis - 1]))
         bands[axis - 1].clear()
-        for lo, line, length, _, *tag in _refine(
-                block, pairs[axis - 1], lambda x0, y0, w, h, n, *tag: w <= h):
-            _, inv, top, span, off = at(*tag)
+        for lo, line, length, _, tag in _refine(
+                block, pairs[axis - 1], lambda x0, y0, w, h, n, tag: w <= h):
+            _, inv, top, span, off = at(tag)
             ends = index(lo, inv, top), index(lo + length, inv, top)
             cells.append(_span_keys(*ends, line, line, span, off) if axis == 1
                          else _span_keys(line, line, *ends, span, off))
 
-    for x0, y0, w, h, *tag in _refine(root, maps, done):
-        s, inv, top, span, off = at(*tag)
+    for x0, y0, w, h, tag in _refine(root, _map_steps(system.maps), done):
+        s = table[0][tag]
         leaf = (w <= s) & (h <= s)
         if not leaf.all():
             for axis, band, start, line, length in (
                     (1, ~leaf & (h <= s), x0, y0, w),
                     (2, ~leaf & (w <= s), y0, x0, h)):
                 if band.any():
-                    band_tag = [a[band] for a in tag]
-                    band_s, band_inv, band_top, _, _ = at(*band_tag)
+                    band_s, band_inv, band_top, _, _ = at(tag[band])
                     bands[axis - 1].append(
                         (start[band], index(line[band], band_inv, band_top),
-                         length[band], np.full(int(band.sum()), band_s),
-                         *band_tag))
+                         length[band], band_s, tag[band]))
                     if sum(b[0].size for b in bands[axis - 1]) >= _CHUNK:
                         flush(axis)
-            x0, y0, w, h, *tag = (a[leaf] for a in (x0, y0, w, h, *tag))
-            s, inv, top, span, off = at(*tag)
+            x0, y0, w, h, tag = (a[leaf] for a in (x0, y0, w, h, tag))
+        _, inv, top, span, off = at(tag)
         cells.append(_span_keys(index(x0, inv, top), index(x0 + w, inv, top),
                                 index(y0, inv, top), index(y0 + h, inv, top),
                                 span, off))
@@ -640,9 +641,7 @@ def _ladder_count(system, scales, rates):
         if bands[axis - 1]:
             flush(axis)
     keys = _distinct(np.concatenate(cells))
-    if len(scales) == 1:
-        return [int(keys.size)]
-    return np.diff(np.searchsorted(keys, first), append=keys.size).tolist()
+    return np.diff(np.searchsorted(keys, lowest), append=keys.size).tolist()
 
 
 @lru_cache(maxsize=16)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from carpetdim import (DiagonalMap, EventuallyPeriodicWord,
                        OptimizerFailure, ProbabilityVector, RangeError,
                        WrongClass, WrongShape, baranski_1d_reduction,
-                       baranski_dims, classify_word, entropy_stats, gl_dims,
-                       reduction_suprema, validate)
+                       baranski_dims, box_count_ball, classify_word,
+                       entropy_stats, gl_dims, reduction_suprema, validate)
 from carpetdim.dimensions import _AxisProblem
 from carpetdim.pointwise import build_exceptional
 
@@ -420,6 +420,27 @@ def test_box_roots_match_the_brentq_oracle():
             assert axis.box[1] <= 1e-12
         assert system.analysis.box[0] == max(axis.box[0]
                                              for axis in system.analysis.axes)
+
+
+def transpose(system):
+    """The mirror image of a carpet in the diagonal x = y."""
+    return validate([DiagonalMap(m.r2, m.r1, m.d2, m.d1) for m in system.maps])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.sampled_from((random_gl_system, random_baranski_system)),
+       st.integers(0, 2 ** 32 - 1),
+       st.lists(st.integers(0, 11), min_size=1, max_size=3))
+@example(lambda rng: gl3(), 0, [0, 2, 1])
+def test_ball_count_is_transpose_invariant(draw_system, seed, period):
+    # an approximate square extends its cylinder along the longer axis, so
+    # the mirror image of a ball's cover is the cover of the mirrored ball
+    system = draw_system(np.random.default_rng(seed))
+    gamma = EventuallyPeriodicWord((), tuple(i % len(system) for i in period))
+    mirror = transpose(system)
+    for k in (3, 4, 5):
+        assert box_count_ball(mirror, gamma, 0.125, 2.0 ** -k) == \
+            box_count_ball(system, gamma, 0.125, 2.0 ** -k)
 
 
 def test_gl_hausdorff_equals_baranski_d1():

@@ -650,6 +650,19 @@ def test_grid_count_ladder_matches_full_refinement_at_every_rung(maps, ks):
         [oracle.grid_count(maps, s) for s in scales]
 
 
+def test_grid_counts_with_complex_keys_below_the_unit_square():
+    # from 2^-31 on, cells take complex keys, whose real parts are negative
+    # left of x = 0; a ladder mixes them with int64 codes at 2^-20
+    maps = [(0.01, 0.01, -0.5, 0.0), (0.01, 0.01, 1.2, 0.5)]
+    ks = [20, 31, 33, 40]
+    expected = [load_geometry_oracle().grid_count(maps, 2.0 ** -k)
+                for k in ks]
+    system = validate(maps)
+    assert [_grid_count(system, 2.0 ** -k) for k in ks] == expected
+    assert _grid_counts(system, [2.0 ** -k for k in (33, 20, 40, 31)]) == \
+        [expected[2], expected[0], expected[3], expected[1]]
+
+
 def test_estimate_counts_its_ladder_in_one_refinement(monkeypatch):
     from carpetdim import geometry
 

@@ -11,6 +11,8 @@ import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from carpetdim import (DiagonalMap, EventuallyPeriodicWord,
                        approximate_square, attractor_cloud,
                        box_count_ball, box_dimension_estimate,
@@ -19,6 +21,7 @@ from carpetdim import (DiagonalMap, EventuallyPeriodicWord,
                        render_svg, slice_cloud, tangent_cloud, validate)
 from carpetdim.geometry import (_ball_grid_count, _grid_count, _grid_counts,
                                 _point_at)
+from test_dimensions import random_baranski_system
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -77,11 +80,51 @@ def test_box_dimension_estimates_frozen():
         (1.6194281265577404, (1.5361465847781104, 1.7306399559167915))
 
 
+def plain_squares(system, centre, R, r):
+    """The scale-r approximate squares that meet B(centre, R), counted by a
+    plain depth-first refinement with the float steps and ball test of
+    ``box_count_ball``: cylinders until the shorter side is at most r, then
+    extensions along the longer axis until that side first drops to at
+    most the other."""
+    maps = [tuple(float(v) for v in (m.r1, m.r2, m.d1, m.d2))
+            for m in system.maps]
+    extend = ([(float(c.ratio), 1.0, float(c.offset), 0.0)
+               for c in system.columns],
+              [(1.0, float(c.ratio), 0.0, float(c.offset))
+               for c in system.rows])
+    (cx, cy), stack, count = centre, [(0.0, 0.0, 1.0, 1.0, None)], 0
+    while stack:
+        x0, y0, w, h, axis = stack.pop()    # axis None: still a base
+        dx = max(x0 - cx, 0.0, cx - (x0 + w))
+        dy = max(y0 - cy, 0.0, cy - (y0 + h))
+        if dx * dx + dy * dy > R * R * (1.0 + 1e-12):
+            continue
+        if axis is None and min(w, h) <= r:
+            axis = 0 if w >= h else 1
+        if axis is not None:
+            along, across = (w, h) if axis == 0 else (h, w)
+            if along <= across * (1.0 + 1e-12):
+                count += 1
+                continue
+        stack.extend((x0 + w * d1, y0 + h * d2, w * r1, h * r2, axis)
+                     for r1, r2, d1, d2 in
+                     (maps if axis is None else extend[axis]))
+    return count
+
+
 def test_ball_counts_frozen():
     assert box_count_ball(gl3(), word((), (0, 2, 1)), 0.25, 2.0 ** -10) == 2279
-    assert box_count_ball(exc(), word((1, 2), (0, 5)), 0.125,
-                          2.0 ** -9) == 29612
-    assert box_count_ball(exc(), word((), (7,)), 0.25, 2.0 ** -8) == 5457
+    # exc(1/40) has wide and tall maps, and draw 0 has 7 maps of both
+    # orientations: tall bases extend along rows
+    draw = random_baranski_system(np.random.default_rng(2))
+    for system, gamma, R, r, size in (
+            (exc(), word((1, 2), (0, 5)), 0.125, 2.0 ** -9, 22535),
+            (exc(), word((), (7,)), 0.25, 2.0 ** -8, 11200),
+            (draw, word((), (0,)), 0.125, 2.0 ** -3, 32),
+            (draw, word((), (0,)), 0.125, 2.0 ** -4, 73),
+            (draw, word((), (0,)), 0.125, 2.0 ** -5, 280)):
+        assert plain_squares(system, _point_at(system, gamma), R, r) == size
+        assert box_count_ball(system, gamma, R, r) == size
 
 
 def centre_cells(maps, centre, R, s):
