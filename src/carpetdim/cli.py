@@ -39,8 +39,7 @@ import numpy as np
 
 from .dimensions import baranski_dims, gl_dims, reduction_suprema
 from .errors import (CarpetError, EmptyInput, InvalidPacking, InvalidSystem,
-                     OptimizerFailure, RangeError, Unsupported, WrongClass,
-                     WrongShape)
+                     RangeError, Unsupported, WrongClass, WrongShape)
 from .geometry import (box_dimension_estimate, render_svg, scale_count_table,
                        write_scale_counts_csv)
 from .moran import ColumnSequence, nonauto_assouad, window_sup

@@ -43,8 +43,8 @@ the conditional part and q_l ~ a_l^D Z_l(kappa)^theta with D = H(q)/chi_j,
 and theta = 1 is the boundary.  A root that misses its tolerance within a
 fixed cap raises OptimizerFailure.
 
-The Analysis at ``system.analysis`` computes each of these numbers once, on
-first use; gl_dims, baranski_dims and the pointwise layer read its fields.
+The Analysis at ``system.analysis`` computes each number once and takes every
+maximum over axes; gl_dims, baranski_dims and pointwise read its fields.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import numpy as np
 from .errors import OptimizerFailure, RangeError, WrongClass, WrongShape
 from .moran import _moran_root, solve_moran
 from .systems import (BARANSKI, GATZOURAS_LALLEY, CarpetSystem,
-                      ProbabilityVector)
+                      ProbabilityVector, _compare)
 
 _TOL = 1e-15          # relative step at which Newton and regula falsi stop
 _DECREMENT = 1e-28    # Newton decrement in kappa below rounding of Phi
@@ -333,8 +333,8 @@ class AxisAnalysis:
 
 
 class Analysis:
-    """An AxisAnalysis per axis; dimB (with its residual) and dimA over the
-    axes of a Baranski carpet or the column axis of a GL one; GL dimL."""
+    """An AxisAnalysis per axis; dimB (with its residual), dimH and dimA over
+    the axes of a Baranski carpet or the column axis of a GL one; GL dimL."""
 
     def __init__(self, system):
         self.system = system
@@ -356,6 +356,11 @@ class Analysis:
         return max((axis.box for axis in self._axes()), key=lambda b: b[0])
 
     @cached_property
+    def dimH(self):
+        """The largest defined Ledrappier-Young maximum d_j."""
+        return max(axis.maximum[0] for axis in self._axes() if axis.maximum)
+
+    @cached_property
     def dimA(self):
         return max(axis.directional[2] for axis in self._axes())
 
@@ -364,22 +369,42 @@ class Analysis:
         self._need(GATZOURAS_LALLEY)
         return self.axes[0].proj[0] + min(self.axes[0].slice_exponents)
 
+    @cached_property
+    def _two_group_shape(self):
+        """(alpha1, alpha2, beta) when the system is 4 copies of one map
+        shape plus 8 of another with a shared height; WrongShape otherwise."""
+        groups, exact = {}, self.system.exact
+        for m in self.system.maps:
+            shape = next((s for s in groups if _compare(s[0], m.r1, exact) == 0
+                          and _compare(s[1], m.r2, exact) == 0), (m.r1, m.r2))
+            groups.setdefault(shape, []).append(m)
+        if len(groups) != 2:
+            raise WrongShape("need exactly two map shapes, got %d"
+                             % len(groups))
+        (shape_a, members_a), (shape_b, members_b) = sorted(
+            groups.items(), key=lambda kv: len(kv[1]))
+        if (len(members_a), len(members_b)) != (4, 8):
+            raise WrongShape("need group sizes 4 and 8, got %d and %d"
+                             % (len(members_a), len(members_b)))
+        if _compare(shape_a[1], shape_b[1], exact) != 0:
+            raise WrongShape("groups must share a common height")
+        return float(shape_a[0]), float(shape_b[0]), float(shape_a[1])
+
 
 # ------------------------------------------------ reports from the analysis
 
 def gl_dims(system: CarpetSystem) -> DimensionReport:
     """Full dimension report for a GatzourasLalley carpet."""
-    if system.klass != GATZOURAS_LALLEY:
-        raise WrongClass("need %s, got %s" % (GATZOURAS_LALLEY, system.klass))
     analysis = system.analysis
+    analysis._need(GATZOURAS_LALLEY)
     dimB, box_residual = analysis.box
     first, second = analysis.axes
     s_eta, proj_residual = first.proj
-    dimH, argmax, optimizer = first.maximum
+    _, argmax, optimizer = first.maximum
     return DimensionReport(
         dim_proj_box_1=s_eta, dim_proj_box_2=second.directional[0],
-        dimB=dimB, dimH=dimH, dimA=analysis.dimA, dimL=analysis.dimL,
-        argmax_p=ProbabilityVector(argmax),
+        dimB=dimB, dimH=analysis.dimH, dimA=analysis.dimA,
+        dimL=analysis.dimL, argmax_p=ProbabilityVector(argmax),
         diagnostics={"proj_moran_residual": proj_residual,
                      "dimB_residual": box_residual,
                      "slice_exponents": list(first.slice_exponents),
@@ -387,45 +412,21 @@ def gl_dims(system: CarpetSystem) -> DimensionReport:
 
 
 def baranski_dims(system: CarpetSystem):
-    """(BaranskiDirectional, dimH, dimA) for a Baranski (or GL) system.
-    Both classes have an aligned axis and an axis whose P_j has interior."""
-    if system.klass not in (BARANSKI, GATZOURAS_LALLEY):
-        raise WrongClass("need Baranski or GatzourasLalley, got %s"
-                         % system.klass)
+    """(BaranskiDirectional, dimH, dimA) for a Baranski (or GL) system: the
+    directional values of both axes, and the analysis' dimH and dimA."""
+    analysis = system.analysis
+    analysis._need(BARANSKI, GATZOURAS_LALLEY)
     fields = {}
-    for axis in system.analysis.axes:
+    for axis in analysis.axes:
         best = axis.maximum
         proj, t, total = axis.directional
         fields.update({"d%d" % axis.j: best[0] if best else None,
                        "dimB_eta%d" % axis.j: proj, "t%d" % axis.j: t,
                        "A%d" % axis.j: total})
-    d_values = [fields[k] for k in ("d1", "d2") if fields[k] is not None]
-    a_values = [fields[k] for k in ("A1", "A2") if fields[k] is not None]
-    return BaranskiDirectional(**fields), max(d_values), max(a_values)
+    return BaranskiDirectional(**fields), analysis.dimH, analysis.dimA
 
 
 # ---------------------------------------------------- two-group reduction
-
-def _two_group_shape(system):
-    """(alpha1, alpha2, beta) when the system is 4 copies of one map shape
-    plus 8 of another with a shared height; WrongShape otherwise."""
-    groups = {}
-    for m in system.maps:
-        groups.setdefault((float(m.r1), float(m.r2)), []).append(m)
-    if len(groups) != 2:
-        raise WrongShape("need exactly two map shapes, got %d" % len(groups))
-    (shape_a, members_a), (shape_b, members_b) = sorted(
-        groups.items(), key=lambda kv: len(kv[1]))
-    if (len(members_a), len(members_b)) != (4, 8):
-        raise WrongShape("need group sizes 4 and 8, got %d and %d"
-                         % (len(members_a), len(members_b)))
-    if shape_a[1] != shape_b[1]:
-        raise WrongShape("groups must share a common height")
-    alpha1, alpha2, beta = shape_a[0], shape_b[0], shape_a[1]
-    if alpha1 == alpha2:
-        raise WrongShape("group widths must differ")
-    return alpha1, alpha2, beta
-
 
 def baranski_1d_reduction(system: CarpetSystem, p: float):
     """Two-group reduction curve for the 4+8 family: returns
@@ -438,7 +439,7 @@ def baranski_1d_reduction(system: CarpetSystem, p: float):
     """
     if not 0.0 <= p <= 1.0:
         raise RangeError("p=%r outside [0, 1]" % (p,))
-    alpha1, alpha2, beta = _two_group_shape(system)
+    alpha1, alpha2, beta = system.analysis._two_group_shape
     h = -(_xlogx(p) + _xlogx(1.0 - p))
     chi1 = -p * math.log(alpha2) - (1.0 - p) * math.log(alpha1)
     log4 = math.log(4.0)
@@ -462,7 +463,7 @@ def reduction_suprema(system: CarpetSystem):
     p0, D2 right of it), each quasi-concave curve taken at its maximizer
     clipped to its side of p0 -- the reduction's own headline value.
     """
-    alpha1, alpha2, beta = _two_group_shape(system)
+    alpha1, alpha2, beta = system.analysis._two_group_shape
     _, _, p0 = baranski_1d_reduction(system, 0.5)
     log4, logs = math.log(4.0), (math.log(alpha1), math.log(alpha2))
     sigma1 = solve_moran([alpha1, alpha2])

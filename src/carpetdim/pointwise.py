@@ -123,9 +123,8 @@ def level_set_dim(system: CarpetSystem, alpha):
     """
     if not math.isfinite(alpha):
         raise RangeError("alpha %r is not a finite number" % (alpha,))
-    if system.klass != GATZOURAS_LALLEY:
-        raise WrongClass("need %s, got %s" % (GATZOURAS_LALLEY, system.klass))
     analysis = system.analysis
+    analysis._need(GATZOURAS_LALLEY)
     if not analysis.box[0] - 1e-12 <= alpha <= analysis.dimA + 1e-12:
         return None, False
     return gl_dims(system).dimH, bool(abs(alpha - analysis.dimA) <= 1e-12)

@@ -13,13 +13,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from carpetdim import (ColumnSequence, EventuallyPeriodicWord, PointCloud,
-                       baranski_dims, box_count_ball, build_exceptional,
-                       directed_hausdorff, few_large_tangents,
-                       fixture_fast_decay, gl_dims, nonauto_assouad,
-                       pointwise_assouad_gl, projection_cloud, psi_estimate,
-                       reduction_suprema, slice_cloud, solve_moran,
-                       tangent_cloud, theta_window, validate, window_sup)
+from carpetdim import (ColumnSequence, PointCloud, baranski_dims,
+                       box_count_ball, build_exceptional, directed_hausdorff,
+                       few_large_tangents, fixture_fast_decay, gl_dims,
+                       nonauto_assouad, pointwise_assouad_gl,
+                       projection_cloud, psi_estimate, reduction_suprema,
+                       slice_cloud, solve_moran, tangent_cloud, theta_window,
+                       window_sup)
+from carpets import gl2, gl3, word
+from oracles.frozen import EXC0_SUP_D1_ROUNDED, EXC0_SUP_D2_ROUNDED
 from test_dimensions import random_gl_system
 from test_moran import _homogeneous_window, _random_window
 
@@ -30,19 +32,6 @@ def verdict(num, label, checks):
           flush=True)
     assert ok, "failed checks: " + ", ".join(
         name for name, value in checks if not value)
-
-
-def gl3():
-    return validate([([1, 2], [1, 4], 0, 0), ([1, 2], [1, 4], 0, [1, 2]),
-                     ([1, 2], [1, 4], [1, 2], 0)])
-
-
-def gl2():
-    return validate([([1, 2], [1, 4], 0, 0), ([1, 2], [1, 4], [1, 2], 0)])
-
-
-def word(preperiod, period):
-    return EventuallyPeriodicWord(tuple(preperiod), tuple(period))
 
 
 def test_gate_01_moran_root_value_and_speed():
@@ -66,9 +55,11 @@ def test_gate_02_reduction_suprema():
     elapsed = time.perf_counter() - t0
     p0_target = math.log(4 / 3) / math.log(2)
     verdict(2, "two-group reduction curve maxima", [
-        ("sup_D1", red["sup_D1"] == pytest.approx(0.489536, abs=1e-4)),
-        ("sup_D2", red["sup_D2"] == pytest.approx(0.529533, abs=1e-4)),
-        ("dimH", red["dimH"] == pytest.approx(0.529533, abs=1e-4)),
+        ("sup_D1", red["sup_D1"] == pytest.approx(EXC0_SUP_D1_ROUNDED,
+                                                  abs=1e-4)),
+        ("sup_D2", red["sup_D2"] == pytest.approx(EXC0_SUP_D2_ROUNDED,
+                                                  abs=1e-4)),
+        ("dimH", red["dimH"] == pytest.approx(EXC0_SUP_D2_ROUNDED, abs=1e-4)),
         ("dimH is max", abs(red["dimH"] - max(red["sup_D1"], red["sup_D2"]))
          <= 1e-9),
         ("p0", red["p0"] == pytest.approx(p0_target, abs=1e-9)),

@@ -3,9 +3,11 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,8 @@ import carpetdim
 from carpetdim.cli import load_config, parse_columns, parse_gamma, run
 from carpetdim.dimensions import _AxisProblem
 from carpetdim.geometry import _grid_count
+from oracles.frozen import (EXC0_D2, EXC0_SUP_D1_ROUNDED, EXC0_SUP_D2_ROUNDED,
+                            EXC_DIMB, GL3_DIMB, GL3_DIMH, SLIVER_DIMB)
 
 GL3_CONFIG = {"maps": [
     {"r1": [1, 2], "r2": [1, 4], "d1": 0, "d2": 0},
@@ -27,20 +31,13 @@ SQUARE4_CONFIG = {"maps": [
     {"r1": [1, 3], "r2": [1, 3], "d1": [2, 3], "d2": [2, 3]},
 ]}
 
-# Frozen from tests/oracles/dims_oracle.py (brentq): dimB = max(D_1, D_2)
-# of the example family, which is D_2 at each of these deltas.
-EXC_DIMB = {"0": 1.722629596943400, "1/40": 1.595978680097956,
-            "1/7": 1.006585318851378}
-
-# A 4 x 2 grid carpet with sides from 1/1000 to 199/200; its dimB is D_2,
-# frozen from the brentq oracle in tests/oracles/dims_oracle.py.
+# A 4 x 2 grid carpet with sides from 1/1000 to 199/200; dimB = SLIVER_DIMB.
 SLIVER_CONFIG = {"maps": [
     {"r1": [9, 25], "r2": [199, 200], "d1": [0, 1], "d2": [0, 1]},
     {"r1": [1, 1000], "r2": [199, 200], "d1": [9, 25], "d2": [0, 1]},
     {"r1": [1, 200], "r2": [1, 250], "d1": [361, 1000], "d2": [199, 200]},
     {"r1": [317, 500], "r2": [199, 200], "d1": [183, 500], "d2": [0, 1]},
 ]}
-SLIVER_DIMB = 1.9511446829793002
 
 ENVELOPE_KEYS = {"command", "input_digest", "results", "diagnostics",
                  "warnings"}
@@ -112,8 +109,8 @@ def test_dims_gl_results(tmp_path, capsys, monkeypatch):
                                ["--input", path, "dims"])
     assert code == 0
     results = envelope["results"]
-    assert results["dimH"] == pytest.approx(1.271553303163612, abs=1e-9)
-    assert results["dimB"] == pytest.approx(1.292481250360578, abs=1e-9)
+    assert results["dimH"] == pytest.approx(GL3_DIMH, abs=1e-9)
+    assert results["dimB"] == pytest.approx(GL3_DIMB, abs=1e-9)
     assert results["dimA"] == pytest.approx(1.5, abs=1e-9)
     assert results["dimL"] == pytest.approx(1.0, abs=1e-9)
     assert len(results["hausdorff_argmax"]) == 3
@@ -131,11 +128,11 @@ def test_example_pipeline_reduction_dimh(capsys, monkeypatch):
                                stdin=json.dumps(made))
     assert code == 0
     results = envelope["results"]
-    assert results["dimH"] == pytest.approx(1.722629596943400, abs=1e-6)
+    assert results["dimH"] == pytest.approx(EXC0_D2, abs=1e-6)
     reduction = results["reduction"]
-    assert reduction["sup_D1"] == pytest.approx(0.489536, abs=1e-4)
-    assert reduction["sup_D2"] == pytest.approx(0.529533, abs=1e-4)
-    assert reduction["dimH"] == pytest.approx(0.529533, abs=1e-4)
+    assert reduction["sup_D1"] == pytest.approx(EXC0_SUP_D1_ROUNDED, abs=1e-4)
+    assert reduction["sup_D2"] == pytest.approx(EXC0_SUP_D2_ROUNDED, abs=1e-4)
+    assert reduction["dimH"] == pytest.approx(EXC0_SUP_D2_ROUNDED, abs=1e-4)
     assert reduction["p0"] < reduction["argmax_D2"] < 1.0
 
 
@@ -154,6 +151,23 @@ def test_dims_baranski_box_dimension(capsys, monkeypatch):
         assert envelope["results"]["dimB"] == pytest.approx(expected,
                                                             abs=1e-12)
         assert envelope["warnings"] == []
+
+
+def test_dims_reduction_needs_the_exact_two_group_shape(capsys, monkeypatch):
+    # exc(1/40) with maps 4 and 5 wider by 10^-20: three map shapes exactly,
+    # two in floats, so the 4+8 two-group reduction does not apply
+    maps = [carpetdim.DiagonalMap(
+        m.r1 + (Fraction(1, 10 ** 20) if k in (4, 5) else 0), m.r2, m.d1,
+        m.d2) for k, m in enumerate(carpetdim.build_exceptional("1/40").maps)]
+    system = carpetdim.validate(maps)
+    assert system.klass == "Baranski"
+    with pytest.raises(carpetdim.WrongShape):
+        carpetdim.reduction_suprema(system)
+    code, envelope, _ = invoke(
+        capsys, monkeypatch, ["dims"],
+        stdin=json.dumps(carpetdim.system_to_config(system)))
+    assert code == 0
+    assert "reduction" not in envelope["results"]
 
 
 def test_sliver_carpet_box_dimension(capsys, monkeypatch):
@@ -237,8 +251,7 @@ def test_pointwise_cli_gl(tmp_path, capsys, monkeypatch):
     assert code == 0
     results = envelope["results"]
     assert results["tangent_dim"] == pytest.approx(1.0, abs=1e-9)
-    assert results["pointwise_assouad"] == pytest.approx(1.292481250360578,
-                                                         abs=1e-6)
+    assert results["pointwise_assouad"] == pytest.approx(GL3_DIMB, abs=1e-6)
     assert results["requested_axis"]["axis"] == 2
 
 
@@ -247,8 +260,7 @@ def test_levelset_cli(tmp_path, capsys, monkeypatch):
     code, envelope, _ = invoke(
         capsys, monkeypatch, ["--input", path, "levelset", "--alpha", "1.4"])
     assert code == 0
-    assert envelope["results"]["dim"] == pytest.approx(1.271553303163612,
-                                                       abs=1e-9)
+    assert envelope["results"]["dim"] == pytest.approx(GL3_DIMH, abs=1e-9)
     assert envelope["results"]["full_measure"] is False
 
     code, envelope, _ = invoke(
@@ -327,8 +339,7 @@ def test_estimate_cli(tmp_path, capsys, monkeypatch):
     results = envelope["results"]
     low, high = results["band"]
     assert low <= results["dimB_estimate"] <= high
-    assert results["dimB_estimate"] == pytest.approx(1.292481250360578,
-                                                     abs=0.05)
+    assert results["dimB_estimate"] == pytest.approx(GL3_DIMB, abs=0.05)
 
 
 def test_exit_code_validation_failure(capsys, monkeypatch):
@@ -432,6 +443,16 @@ def test_rejected_command_line_emits_failure_envelope(tmp_path, capsys,
         assert envelope["command"] is None
         assert envelope["results"] == {}
         assert envelope["diagnostics"]["error"] == "UsageError"
+
+
+def test_readme_quick_start_prints_its_comment(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```python\n(.*?)```",
+                      readme.read_text(encoding="utf-8"), re.S).group(1)
+    exec(block, {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [line[2:] for line in block.splitlines()
+                       if line.startswith("# ")]
 
 
 def test_cli_commands_load_no_scipy(tmp_path):

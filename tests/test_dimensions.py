@@ -18,25 +18,14 @@ from carpetdim import (DiagonalMap, EventuallyPeriodicWord,
                        entropy_stats, gl_dims, reduction_suprema, validate)
 from carpetdim.dimensions import _AxisProblem
 from carpetdim.pointwise import build_exceptional
-
-# Frozen from tests/oracles/dims_oracle.py (closed forms + scipy bounded
-# search on the one-parameter reductions, endpoints included).
-GL3_DIMH = 1.271553303163612          # log2(1 + sqrt 2)
-GL3_DIMB = 1.292481250360578          # 1 + log(3/2)/log 4
-EXC0_P0 = 0.415037499278844
-EXC0_SUP_D1 = 0.489536321199650       # reduction sup, argmax 0.415974485884
-EXC0_SUP_D2 = 0.529532656220852       # reduction sup, argmax 0.580810911591
-EXC0_D1 = 1.697053767125634           # constrained axis-1 value (boundary)
-EXC0_D2 = 1.722629596943400           # constrained axis-2 value (interior)
-EXC40_D1 = 1.570175084313288
-EXC40_D2 = 1.595978680097956
-# Directional totals assembled from tests/oracles/moran_oracle.py roots.
-EXC40_A1 = 0.920784065313739 + 0.929366693798885
-EXC40_A2 = 0.929366693798885 + 0.666611986299070
+from carpets import gl2, gl3, mcmullen
+from oracles.frozen import (EXC0_D1, EXC0_D2, EXC0_P0, EXC0_SUP_D1,
+                            EXC0_SUP_D2, EXC40_A1, EXC40_A2, EXC40_D1,
+                            EXC40_D2, GL3_DIMB, GL3_DIMH)
 
 # A 4 x 2 grid carpet with sides from 1/1000 to 199/200.  Its box root D_2
-# (the dimB) is 1.9511446829793002 by the brentq oracle, above dimH
-# 1.924974580615449; Newton steps from D = s_2 grow before they shrink on it.
+# is SLIVER_DIMB of tests/oracles/frozen.py; Newton steps from D = s_2 grow
+# before they shrink on it.
 SLIVER_MAPS = [
     DiagonalMap(Fraction(9, 25), Fraction(199, 200), Fraction(0), Fraction(0)),
     DiagonalMap(Fraction(1, 1000), Fraction(199, 200), Fraction(9, 25),
@@ -55,21 +44,6 @@ NEAR_FLAT_MAPS = [
                 Fraction(d, 10)) for d in (0, 1, 2)] + [
     DiagonalMap(Fraction(1, 10), Fraction(1, 10),
                 Fraction(10 ** 15 + 1, 10 ** 16), Fraction(0))]
-
-HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
-
-
-def gl3():
-    return validate([
-        DiagonalMap(HALF, QUARTER, Fraction(0), Fraction(0)),
-        DiagonalMap(HALF, QUARTER, Fraction(0), HALF),
-        DiagonalMap(HALF, QUARTER, HALF, Fraction(0)),
-    ])
-
-
-def gl2():
-    return validate([([1, 2], [1, 4], 0, 0), ([1, 2], [1, 4], [1, 2], 0)])
 
 
 def random_gl_system(rng):
@@ -474,6 +448,19 @@ def test_baranski_dims_exceptional_fortieth():
     assert directional.d1 < directional.d2
     assert directional.A1 > directional.A2
     assert dimA == pytest.approx(EXC40_A1, abs=1e-9)
+
+
+def test_baranski_dims_reads_the_analysis():
+    # on GL input dimA is the column axis' total, as in gl_dims, although
+    # the rows of this McMullen carpet are aligned and give A_2 = 2
+    system = mcmullen()
+    assert baranski_dims(system)[2] == gl_dims(system).dimA
+    assert gl_dims(system).dimA == pytest.approx(
+        1 + math.log(3) / math.log(4), abs=1e-12)
+    for system in (gl3(), build_exceptional(0),
+                   build_exceptional(Fraction(1, 40))):
+        assert baranski_dims(system)[1:] == (system.analysis.dimH,
+                                             system.analysis.dimA)
 
 
 def test_baranski_dims_square_symmetric():

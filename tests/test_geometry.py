@@ -18,9 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carpetdim import (DiagonalMap, EmptyInput, EventuallyPeriodicWord,
-                       InvalidPacking, PointCloud, RangeError, Rect, WrongClass,
-                       WrongShape, approximate_square, attractor_cloud,
+from carpetdim import (DiagonalMap, EmptyInput, InvalidPacking, PointCloud,
+                       RangeError, Rect, WrongClass, WrongShape,
+                       approximate_square, attractor_cloud,
                        box_count_ball, box_dimension_estimate,
                        build_exceptional, cylinders_to_scale, directed_hausdorff,
                        fixture_fast_decay, fixture_progressions,
@@ -31,25 +31,9 @@ from carpetdim import (DiagonalMap, EmptyInput, EventuallyPeriodicWord,
 from carpetdim.dimensions import _AxisProblem
 from carpetdim.geometry import (_band_guard, _band_rates, _grid_count,
                                 _grid_counts)
+from carpets import HALF, QUARTER, gl2, gl3, square4, word
+from oracles.frozen import GL3_DIMB, GL3_DIMB_ESTIMATE
 from test_dimensions import random_baranski_system
-
-HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
-
-# Frozen from tests/oracles/dims_oracle.py.
-GL3_DIMB = 1.292481250360578
-
-
-def gl3():
-    return validate([
-        DiagonalMap(HALF, QUARTER, Fraction(0), Fraction(0)),
-        DiagonalMap(HALF, QUARTER, Fraction(0), HALF),
-        DiagonalMap(HALF, QUARTER, HALF, Fraction(0)),
-    ])
-
-
-def gl2():
-    return validate([([1, 2], [1, 4], 0, 0), ([1, 2], [1, 4], [1, 2], 0)])
 
 
 def uni4():
@@ -67,21 +51,6 @@ def glmix():
         (QUARTER, Fraction(1, 5), HALF, 0),
         (QUARTER, Fraction(1, 5), HALF, Fraction(1, 5)),
     ])
-
-
-def square4():
-    third = Fraction(1, 3)
-    out = Fraction(2, 3)
-    return validate([
-        DiagonalMap(third, third, Fraction(0), Fraction(0)),
-        DiagonalMap(third, third, out, Fraction(0)),
-        DiagonalMap(third, third, Fraction(0), out),
-        DiagonalMap(third, third, out, out),
-    ])
-
-
-def word(preperiod, period):
-    return EventuallyPeriodicWord(tuple(preperiod), tuple(period))
 
 
 def side(system, letters, axis):
@@ -714,6 +683,6 @@ def test_grid_counts_on_sliver_carpets_frozen():
 
 def test_box_dimension_estimate_brackets_truth():
     slope, band = box_dimension_estimate(gl3())
-    assert slope == pytest.approx(1.2919164905291594, abs=1e-9)  # regression
+    assert slope == pytest.approx(GL3_DIMB_ESTIMATE, abs=1e-9)  # regression
     assert band[0] <= GL3_DIMB <= band[1]
     assert band[0] <= slope <= band[1]

@@ -13,34 +13,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from carpetdim import (DiagonalMap, EventuallyPeriodicWord,
-                       approximate_square, attractor_cloud,
-                       box_count_ball, box_dimension_estimate,
-                       build_exceptional, cylinders_to_scale,
-                       projection_cloud, psi_estimate, pseudo_cylinder_count,
-                       render_svg, slice_cloud, tangent_cloud, validate)
+from carpetdim import (approximate_square, attractor_cloud, box_count_ball,
+                       box_dimension_estimate, build_exceptional,
+                       cylinders_to_scale, projection_cloud, psi_estimate,
+                       pseudo_cylinder_count, render_svg, slice_cloud,
+                       tangent_cloud, validate)
 from carpetdim.geometry import (_ball_grid_count, _grid_count, _grid_counts,
                                 _point_at)
+from carpets import HALF, gl3, word
+from oracles.frozen import GL3_DIMB_ESTIMATE
 from test_dimensions import random_baranski_system
-
-HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
-
-
-def gl3():
-    return validate([
-        DiagonalMap(HALF, QUARTER, Fraction(0), Fraction(0)),
-        DiagonalMap(HALF, QUARTER, Fraction(0), HALF),
-        DiagonalMap(HALF, QUARTER, HALF, Fraction(0)),
-    ])
 
 
 def exc():
     return build_exceptional("1/40")
-
-
-def word(preperiod, period):
-    return EventuallyPeriodicWord(tuple(preperiod), tuple(period))
 
 
 def digest(value):
@@ -75,7 +61,7 @@ def test_grid_counts_below_int64_cell_codes_frozen():
 def test_box_dimension_estimates_frozen():
     # from the former estimate, which counted one scale per refinement
     assert box_dimension_estimate.__wrapped__(gl3()) == \
-        (1.2919164905291594, (0.92034055082235, 1.5969351423872324))
+        (GL3_DIMB_ESTIMATE, (0.92034055082235, 1.5969351423872324))
     assert box_dimension_estimate.__wrapped__(exc()) == \
         (1.6194281265577404, (1.5361465847781104, 1.7306399559167915))
 

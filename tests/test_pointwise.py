@@ -7,61 +7,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carpetdim import (DiagonalMap, EventuallyPeriodicWord, RangeError,
-                       Unsupported, WrongClass, baranski_dims,
-                       build_exceptional, few_large_tangents, gl_dims,
-                       level_set_dim, pointwise_assouad_baranski,
+from carpetdim import (DiagonalMap, RangeError, Unsupported, WrongClass,
+                       baranski_dims, build_exceptional, few_large_tangents,
+                       gl_dims, level_set_dim, pointwise_assouad_baranski,
                        pointwise_assouad_gl, symbolic_slice, validate)
 from carpetdim import geometry
 from carpetdim.dimensions import _AxisProblem
-
-HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
-
-GL3_DIMH = 1.271553303163612
-GL3_DIMB = 1.292481250360578
-
-# Frozen from tests/oracles/moran_oracle.py (brentq roots), delta = 1/40:
-# widths a1 = 37/120, a2 = 17/120, heights b = 9/40.
-EXC40_PROJ1 = 0.920784065313739       # a1^s + 4 a2^s = 1
-EXC40_PROJ2 = 0.929366693798885       # 4 b^s = 1
-EXC40_COLUMN_FIBER = 0.929366693798885   # 4 b^t = 1 (wide-column slice)
-EXC40_ROW_FIBER = 0.666611986299070      # a1^t + 2 a2^t = 1 (row slice)
-EXC40_D1 = 1.570175084313288
-# Frozen from tests/oracles/dims_oracle.py: dimB = max(D_1, D_2) = D_2.
-EXC40_DIMB = 1.595978680097956
-EXC40_A1 = EXC40_PROJ1 + EXC40_COLUMN_FIBER
-EXC40_A2 = EXC40_PROJ2 + EXC40_ROW_FIBER
-
-
-def gl3():
-    return validate([
-        DiagonalMap(HALF, QUARTER, Fraction(0), Fraction(0)),
-        DiagonalMap(HALF, QUARTER, Fraction(0), HALF),
-        DiagonalMap(HALF, QUARTER, HALF, Fraction(0)),
-    ])
-
-
-def gl2():
-    return validate([([1, 2], [1, 4], 0, 0), ([1, 2], [1, 4], [1, 2], 0)])
-
-
-def square4():
-    third = Fraction(1, 3)
-    out = Fraction(2, 3)
-    return validate([
-        DiagonalMap(third, third, Fraction(0), Fraction(0)),
-        DiagonalMap(third, third, out, Fraction(0)),
-        DiagonalMap(third, third, Fraction(0), out),
-        DiagonalMap(third, third, out, out),
-    ])
-
-
-def word(preperiod, period):
-    return EventuallyPeriodicWord(tuple(preperiod), tuple(period))
+from carpets import HALF, QUARTER, gl2, gl3, mcmullen, square4, word
+from oracles.frozen import (EXC40_A1, EXC40_A2, EXC40_COLUMN_FIBER, EXC40_D1,
+                            EXC40_ROW_FIBER, EXC_DIMB, GL3_DIMB, GL3_DIMH)
+from test_dimensions import random_gl_system
 
 
 # ------------------------------------------------------------------ slices
@@ -147,6 +105,17 @@ def test_pointwise_gl_random_words_stay_in_dimension_window(pre, period):
         <= report.dimA + 1e-9
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1).map(
+    lambda seed: random_gl_system(np.random.default_rng(seed))))
+@example(mcmullen())
+def test_gl_assouad_dimension_is_attained_at_a_fixed_point(system):
+    # pointwise at :(i) is max(dimB, s_eta + t(l)) for the column l of map i
+    best = max(pointwise_assouad_gl(system, word((), (i,))).pointwise_assouad
+               for i in range(len(system.maps)))
+    assert best == pytest.approx(system.analysis.dimA, abs=1e-12)
+
+
 def test_pointwise_gl_wrong_class():
     with pytest.raises(WrongClass):
         pointwise_assouad_gl(square4(), word((), (0,)))
@@ -226,8 +195,9 @@ def test_pointwise_baranski_narrow_column_word():
     assert report.fiber_dim == pytest.approx(EXC40_ROW_FIBER, abs=1e-12)
     assert report.tangent_dim == pytest.approx(EXC40_A2, abs=1e-12)
     # the row slice of a narrow column attains D_2, which is dimB here
-    assert report.tangent_dim == pytest.approx(EXC40_DIMB, abs=1e-12)
-    assert report.pointwise_assouad == pytest.approx(EXC40_DIMB, abs=1e-12)
+    assert report.tangent_dim == pytest.approx(EXC_DIMB["1/40"], abs=1e-12)
+    assert report.pointwise_assouad == pytest.approx(EXC_DIMB["1/40"],
+                                                     abs=1e-12)
     assert report.pointwise_assouad == max(system.analysis.box[0],
                                            report.tangent_dim)
 
@@ -240,7 +210,7 @@ def test_baranski_box_term_runs_no_grid_count(monkeypatch):
     monkeypatch.setattr(geometry, "box_dimension_estimate", refuse)
     system = build_exceptional("1/40")
     dim_b = system.analysis.box[0]
-    assert dim_b == pytest.approx(EXC40_DIMB, abs=1e-12)
+    assert dim_b == pytest.approx(EXC_DIMB["1/40"], abs=1e-12)
     for period in ((0,), (4,), (0, 4), (5, 9, 1)):
         report = pointwise_assouad_baranski(system, word((), period))
         assert report.pointwise_assouad == max(dim_b, report.tangent_dim)

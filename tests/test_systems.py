@@ -14,19 +14,7 @@ from carpetdim import (CarpetSystem, DiagonalMap, EventuallyPeriodicWord,
                        column_word, system_from_config, system_to_config,
                        validate)
 from carpetdim.pointwise import build_exceptional
-
-HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
-
-
-def gl3():
-    """Three-map wider-than-tall reference system: two maps in the left
-    column, one in the right, ratios 1/2 x 1/4 everywhere."""
-    return validate([
-        DiagonalMap(HALF, QUARTER, Fraction(0), Fraction(0)),
-        DiagonalMap(HALF, QUARTER, Fraction(0), HALF),
-        DiagonalMap(HALF, QUARTER, HALF, Fraction(0)),
-    ])
+from carpets import HALF, QUARTER, gl3
 
 
 def test_validate_two_touching_columns_is_gl_without_ssc():
