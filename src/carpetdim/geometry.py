@@ -1,11 +1,14 @@
 """Symbolic covers, empirical box counts, and point-cloud geometry.
 
-Cylinder rectangles, approximate squares (cylinders extended along the wider
-axis until the sides balance), pseudo-cylinder square counts along either
-axis, ball-localized box counting, a packing-sum falsification harness,
-Hausdorff distances between finite clouds, tangent-set approximations, and
-two one-dimensional fixtures.  All counting is symbolic over words; nothing
-is rasterized.
+Cylinder rectangles, approximate squares, pseudo-cylinder square counts
+along either axis, ball-localized box counting, a packing-sum falsification
+harness, Hausdorff distances between finite clouds, tangent-set
+approximations, and two one-dimensional fixtures.  All counting is symbolic
+over words; nothing is rasterized.  One rule, ``_extensions``, makes the
+approximate squares of ``approximate_square`` (along gamma),
+``box_count_ball``, ``pseudo_cylinder_count`` and ``tangent_cloud``: a
+cylinder with w >= h grows by projected columns, otherwise by projected
+rows, until that side is first at most the other.
 
 Every cover comes from one engine, ``_refine``, which refines numpy blocks
 of cylinder rectangles until a stop rule holds; each caller supplies only
@@ -21,7 +24,6 @@ cylinder coordinate, so maps may leave the unit square.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,8 +32,8 @@ import numpy as np
 
 from .errors import (EmptyInput, InvalidPacking, RangeError, WrongClass,
                      WrongShape)
-from .systems import (BARANSKI, GATZOURAS_LALLEY, DiagonalMap,
-                      EventuallyPeriodicWord, _omega, column_word)
+from .systems import (BARANSKI, GATZOURAS_LALLEY, EventuallyPeriodicWord,
+                      column_word)
 
 _EPS = 1e-12
 _CHUNK = 4096       # most child rows _refine makes at once; bounds its memory
@@ -71,8 +73,9 @@ class ApproxSquare:
     """A cylinder extended along its longer axis until the sides balance.
 
     ``base`` is the word of map indices, ``extension`` the projected class
-    ids appended on ``axis`` (1 when the cylinder is wider than tall), and
-    ``width``/``height`` the resulting side lengths of ``rect``.
+    ids appended on ``axis`` (1 when w >= h) by the one rule of every
+    approximate square (``_extensions``), and ``width``/``height`` the
+    resulting side lengths of ``rect``.
     """
 
     base: tuple
@@ -267,61 +270,67 @@ def cylinders_to_scale(system, r, axis):
     return out
 
 
+# ---------------------------------------------------- approximate squares
+
+def _extension(system, axis):
+    """The approximate-square rule on ``axis``: its projected classes as
+    ``_refine`` children that move that axis alone, and the stop at the
+    first step where that side is at most the other."""
+    classes = system.classes(axis)
+    if axis == 1:
+        return (_steps((c.ratio, 1, c.offset, 0) for c in classes),
+                lambda x0, y0, w, h, *_: w <= h * (1.0 + _EPS))
+    return (_steps((1, c.ratio, 0, c.offset) for c in classes),
+            lambda x0, y0, w, h, *_: h <= w * (1.0 + _EPS))
+
+
+def _extensions(system, block):
+    """Rows of a cylinder block with w >= h extend along axis 1 and the
+    rest along axis 2: (axis, rows, children, done) per axis with rows."""
+    wide = block[2] >= block[3]
+    for axis, rows in ((1, wide), (2, ~wide)):
+        if rows.any():
+            yield (axis, _rows(block, rows)) + _extension(system, axis)
+
+
+def _squares(blocks, system, keep=None):
+    """Leaf blocks of the approximate squares over blocks of cylinders;
+    ``keep`` prunes rows as in ``_refine``."""
+    for block in blocks:
+        for _, rows, children, done in _extensions(system, block):
+            yield from _refine(rows, children, done, keep)
+
+
 def approximate_square(system, gamma: EventuallyPeriodicWord,
                        k: int) -> ApproxSquare:
-    """The depth-k approximate square around the point coded by gamma.
+    """The depth-k approximate square around the point coded by gamma: the
+    ``_squares`` leaf over gamma's length-k cylinder on gamma's path, by
+    the one rule of every approximate square (``_extensions``).
 
-    The length-k cylinder is extended along its longer axis, which the
-    orientation class of its word decides (axis 1 on a tie), by projected
-    letters of gamma for as long as the extended side stays at least the
-    other side, which leaves a rectangle of aspect ratio between 1 and the
-    reciprocal of the smallest ratio on the extended axis.
+    At depth n the extension takes the projected class of gamma's letter
+    k + n on the axis that rule picks (1 when w >= h), so the aspect ratio
+    lies between the smallest ratio on that axis and 1.  That axis and the
+    Lyapunov class of the base word (``classify_word``'s rule) disagree
+    only at float ties, where neither extends.
     """
     gamma.check_alphabet(system)
     if k < 1:
         raise RangeError("k must be >= 1")
     base = gamma.prefix(k)
-    _, _, w, h = _compose(system.maps[i] for i in base)
-    axis = 2 if _omega(system, base)[0] == "Omega2" else 1
-    limit = h if axis == 1 else w
-    grow = w if axis == 1 else h
-    letters = []
-    for pos in itertools.count(k):
-        nxt = gamma.letter(pos)
-        ratio = float(system.maps[nxt].ratio(axis))
-        if grow * ratio < limit * (1.0 - _EPS):
-            break
-        grow *= ratio
-        letters.append(nxt)
-    extension = column_word(system, letters, axis=axis)
-    # the extension classes act as maps on their own axis only
-    classes = [system.classes(axis)[cid] for cid in extension]
-    ext = [DiagonalMap(c.ratio, 1, c.offset, 0) if axis == 1 else
-           DiagonalMap(1, c.ratio, 0, c.offset) for c in classes]
-    rect = Rect(*_compose([system.maps[i] for i in base] + ext))
+    root = _root(*_compose(system.maps[i] for i in base))
+    (axis, root, classes, done), = _extensions(
+        system, root + (np.empty((1, 0), dtype=np.int64),))
+    lookup = system.class_index(axis)
+    *sides, letters = next(_refine(
+        root, lambda n: _rows(classes, [lookup[gamma.letter(k + n)]]), done))
+    rect = Rect(*(a[0] for a in sides))
+    extension = column_word(system, gamma.prefix(k + letters.shape[1])[k:],
+                            axis)
     return ApproxSquare(base=base, extension=extension, rect=rect,
                         width=rect.width, height=rect.height, axis=axis)
 
 
 # ------------------------------------------------------ pseudo-cylinders
-
-def _squares(blocks, system, keep=None):
-    """Leaf blocks of the approximate squares over blocks of cylinders.
-
-    Each row is extended along its longer axis, by projected columns when
-    w >= h and by projected rows otherwise, until that side first drops to
-    at most the other; ``keep`` prunes rows as in ``_refine``.
-    """
-    rules = ((_steps((c.ratio, 1, c.offset, 0) for c in system.columns),
-              lambda x0, y0, w, h, n: w <= h * (1.0 + _EPS)),
-             (_steps((1, c.ratio, 0, c.offset) for c in system.rows),
-              lambda x0, y0, w, h, n: h <= w * (1.0 + _EPS)))
-    for block in blocks:
-        wide = block[2] >= block[3]
-        for rows, (ext, done) in zip((wide, ~wide), rules):
-            if rows.any():
-                yield from _refine(_rows(block, rows), ext, done, keep)
-
 
 def pseudo_cylinder_count(system, i, uj, axis=1) -> int:
     """Exact number of maximal approximate squares in a pseudo-cylinder.
@@ -795,7 +804,8 @@ def tangent_cloud(system, gamma: EventuallyPeriodicWord, k,
     """Cloud of the depth-k approximate square around gamma, renormalized
     per axis to the unit square.
 
-    The square fixes the first k letters and the projected classes of the
+    The square (``approximate_square``; on these carpets it extends by
+    columns) fixes the first k letters and the projected classes of the
     extension letters; the cloud enumerates exactly the attractor points
     compatible with those constraints, descending until both sides are
     below the resolution in renormalized units.
@@ -808,7 +818,7 @@ def tangent_cloud(system, gamma: EventuallyPeriodicWord, k,
     square = approximate_square(system, gamma, k)
     box = square.rect
     maps = _map_steps(system.maps)
-    cols = _steps((c.ratio, 1, c.offset, 0) for c in system.columns)
+    cols = _extension(system, 1)[0]
     # the first levels keep to the maps in the extension's column classes
     ext = [_map_steps(system.maps[m] for m in system.columns[cid].members)
            for cid in square.extension]

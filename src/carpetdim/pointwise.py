@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dimensions import baranski_dims, gl_dims
+# gl_dims is unused here, but perfbench's tracer wraps pointwise.gl_dims
+from .dimensions import baranski_dims, gl_dims  # noqa: F401
 from .errors import InvalidSystem, RangeError, Unsupported, WrongClass
 from .moran import ColumnSequence, nonauto_assouad
 from .systems import (BARANSKI, GATZOURAS_LALLEY, CarpetSystem, DiagonalMap,
@@ -127,7 +128,7 @@ def level_set_dim(system: CarpetSystem, alpha):
     analysis._need(GATZOURAS_LALLEY)
     if not analysis.box[0] - 1e-12 <= alpha <= analysis.dimA + 1e-12:
         return None, False
-    return gl_dims(system).dimH, bool(abs(alpha - analysis.dimA) <= 1e-12)
+    return analysis.dimH, bool(abs(alpha - analysis.dimA) <= 1e-12)
 
 
 def few_large_tangents(system: CarpetSystem):

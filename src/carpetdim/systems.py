@@ -355,18 +355,19 @@ def column_word(system: CarpetSystem, word, axis: int = 1) -> tuple:
         raise IndexError("letter outside alphabet: %r" % (exc.args[0],)) from exc
 
 
-def _omega(system: CarpetSystem, word):
-    """Lyapunov ratio class of a finite word of map indices: (omega,
-    chi_1 / chi_2) with chi_j = -sum_i q_i log r_j,i for the letter
-    frequencies q.
+def classify_word(system: CarpetSystem, gamma: EventuallyPeriodicWord):
+    """Asymptotic Lyapunov ratio class of gamma.
 
-    omega is "Omega1" when chi_1 < chi_2 (contraction is faster in the
-    vertical), "Omega2" when chi_1 > chi_2 and "Omega0" on a tie.  Exact
-    systems decide by comparing prod_i r1_i^n_i with prod_i r2_i^n_i in
-    Fractions, so only a true tie is one; float systems call
-    |chi_1 / chi_2 - 1| <= 1e-12 a tie.
+    Returns (omega, gamma_inf) where gamma_inf = chi_1(q)/chi_2(q), with
+    chi_j = -sum_i q_i log r_j,i over the period's letter frequencies q,
+    and omega is "Omega1" when the ratio is < 1 (contraction is faster in
+    the vertical), "Omega2" when > 1 and "Omega0" on a tie.  Exact systems
+    compare prod_i r1_i^n_i with prod_i r2_i^n_i over the letter counts n
+    in Fractions, so only a true tie is one; float systems call
+    |gamma_inf - 1| <= 1e-12 a tie.
     """
-    counts, n = Counter(word), len(word)
+    gamma.check_alphabet(system)
+    counts, n = Counter(gamma.period), len(gamma.period)
     chi1 = -math.fsum(c / n * math.log(float(system.maps[i].r1))
                       for i, c in counts.items())
     chi2 = -math.fsum(c / n * math.log(float(system.maps[i].r2))
@@ -381,16 +382,3 @@ def _omega(system: CarpetSystem, word):
     if order == 0:
         return "Omega0", ratio
     return ("Omega1" if order > 0 else "Omega2"), ratio
-
-
-def classify_word(system: CarpetSystem, gamma: EventuallyPeriodicWord):
-    """Asymptotic Lyapunov ratio class of gamma.
-
-    Returns (omega, gamma_inf) where gamma_inf = chi_1(q)/chi_2(q) for the
-    period frequency vector q, and omega is "Omega1" when the limit ratio is
-    < 1 (contraction is asymptotically faster in the vertical), "Omega2"
-    when > 1, and "Omega0" on a tie: an exact one on exact systems, within
-    1e-12 on float ones.
-    """
-    gamma.check_alphabet(system)
-    return _omega(system, gamma.period)

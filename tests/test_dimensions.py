@@ -12,10 +12,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from carpetdim import (DiagonalMap, EventuallyPeriodicWord,
-                       OptimizerFailure, ProbabilityVector, RangeError,
-                       WrongClass, WrongShape, baranski_1d_reduction,
-                       baranski_dims, box_count_ball, classify_word,
-                       entropy_stats, gl_dims, reduction_suprema, validate)
+                       OptimizerFailure, ProbabilityVector, RangeError, Rect,
+                       WrongClass, WrongShape, approximate_square,
+                       baranski_1d_reduction, baranski_dims, box_count_ball,
+                       classify_word, entropy_stats, gl_dims,
+                       reduction_suprema, validate)
 from carpetdim.dimensions import _AxisProblem
 from carpetdim.pointwise import build_exceptional
 from carpets import gl2, gl3, mcmullen
@@ -408,13 +409,21 @@ def transpose(system):
 @example(lambda rng: gl3(), 0, [0, 2, 1])
 def test_ball_count_is_transpose_invariant(draw_system, seed, period):
     # an approximate square extends its cylinder along the longer axis, so
-    # the mirror image of a ball's cover is the cover of the mirrored ball
+    # the mirror image of a ball's cover is the cover of the mirrored ball,
+    # and the mirror image of gamma's approximate square is the mirrored one
     system = draw_system(np.random.default_rng(seed))
     gamma = EventuallyPeriodicWord((), tuple(i % len(system) for i in period))
     mirror = transpose(system)
     for k in (3, 4, 5):
         assert box_count_ball(mirror, gamma, 0.125, 2.0 ** -k) == \
             box_count_ball(system, gamma, 0.125, 2.0 ** -k)
+        square = approximate_square(system, gamma, k)
+        image = approximate_square(mirror, gamma, k)
+        rect = square.rect
+        assert image.rect == Rect(rect.y0, rect.x0, rect.height, rect.width)
+        assert image.extension == square.extension
+        if square.extension:
+            assert image.axis == 3 - square.axis
 
 
 def test_gl_hausdorff_equals_baranski_d1():

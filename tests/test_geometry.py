@@ -30,10 +30,11 @@ from carpetdim import (DiagonalMap, EmptyInput, InvalidPacking, PointCloud,
                        write_scale_counts_csv)
 from carpetdim.dimensions import _AxisProblem
 from carpetdim.geometry import (_band_guard, _band_rates, _grid_count,
-                                _grid_counts)
+                                _grid_counts, _map_steps, _near, _point_at,
+                                _refine, _root, _squares)
 from carpets import HALF, QUARTER, gl2, gl3, square4, word
 from oracles.frozen import GL3_DIMB, GL3_DIMB_ESTIMATE
-from test_dimensions import random_baranski_system
+from test_dimensions import random_baranski_system, random_gl_system
 
 
 def uni4():
@@ -156,10 +157,11 @@ def test_approximate_square_constant_word():
 
 
 def test_approximate_square_aspect_band():
-    # the long side leads by at most one extension step in either regime
+    # the extended side ends at or below the other, short of it by at most
+    # one extension step, in either regime
     system = build_exceptional(Fraction(1, 40))
-    col_bound = 1.0 / min(float(c.ratio) for c in system.columns)
-    row_bound = 1.0 / min(float(r.ratio) for r in system.rows)
+    col_bound = min(float(c.ratio) for c in system.columns)
+    row_bound = min(float(r.ratio) for r in system.rows)
     rng = np.random.default_rng(1)
     seen = set()
     for _ in range(25):
@@ -169,9 +171,30 @@ def test_approximate_square_aspect_band():
         aspect = (sq.width / sq.height if sq.axis == 1
                   else sq.height / sq.width)
         bound = col_bound if sq.axis == 1 else row_bound
-        assert 1.0 - 1e-12 <= aspect <= bound + 1e-12
+        assert bound - 1e-12 <= aspect <= 1.0 + 1e-12
         seen.add(sq.axis)
     assert seen == {1, 2}
+
+
+def test_approximate_square_is_a_leaf_of_the_square_cover():
+    # the approximate square is the _squares leaf over gamma's k-cylinder
+    # on gamma's path; both covers are pruned to a few ulps around
+    # pi(gamma), which is rounded from Fractions
+    rng = np.random.default_rng(26)
+    for system in (build_exceptional(Fraction(1, 40)), gl3(),
+                   random_gl_system(rng)):
+        n = len(system.maps)
+        for _ in range(40):
+            gamma = word(*(rng.integers(0, n, size=rng.integers(low, 4))
+                           .tolist() for low in (0, 1)))
+            k = int(rng.integers(1, 7))
+            near = _near(*_point_at(system, gamma), 8 * 2.0 ** -52)
+            bases = _refine(_root(), _map_steps(system.maps),
+                            lambda x0, y0, w, h, depth: depth == k, near)
+            leaves = {rect for block in _squares(bases, system, near)
+                      for rect in zip(*(a.tolist() for a in block))}
+            rect = approximate_square(system, gamma, k).rect
+            assert (rect.x0, rect.y0, rect.width, rect.height) in leaves
 
 
 def test_approximate_square_rejects_nonpositive_stage():
