@@ -1,7 +1,10 @@
 """Closed-form and variational dimension formulas for diagonal carpets.
 
-For a wider-than-tall (GatzourasLalley) system everything reduces to two
-scalar root-findings and one simplex maximization:
+The axes an Analysis works on are ``systems.long_axes``: those along which
+some map is longer than across it, or both when every map is square.  A
+GatzourasLalley system has one long axis j, and everything reduces to two
+scalar root-findings and one simplex maximization, written here for j = 1
+(the mirror in x = y runs the same code on j = 2):
 
 * projected box dimension ``s_eta``:  sum_l r1_l^{s_eta} = 1  over columns,
 * box dimension ``s``:  sum_i r1_i^{s_eta} r2_i^{s - s_eta} = 1,
@@ -14,18 +17,19 @@ scalar root-findings and one simplex maximization:
 
   always attained at an interior point.
 
-For a Baranski system the two axes compete.  The axis-j value s_j(w) (same
-shape with j and the orthogonal axis j' swapped in) is maximized over
-P_j = {w : chi_j(w) <= chi_{j'}(w)} and dimH = max_j d_j.  On the boundary
-chi_j = chi_{j'} the value collapses to H(w)/chi_j(w).  P_j has interior
-when some map is longer along axis j than across it, or every map is
-square (orientations come from systems, exact on Fraction input); else
-d_j is None.  When those maps are square in floats, P_j rounds to the face
-they span and d_j is the flat maximum over it.  Directional totals
-A_j = dimB eta_j(K) + t_j give dimA = max_j A_j, and dimB = max_j D_j, where
-D_j solves sum_i a_{j,i}^{s_j} b_i^{D_j - s_j} = 1 with a the axis-j ratios,
-b the orthogonal ones and s_j = dimB eta_j(K) (Baranski, Adv. Math. 2007);
-D_1 is the GatzourasLalley box dimension above.  D_j - s_j, like every
+For a Baranski system both axes are long and compete.  The axis-j value
+s_j(w) (same shape with j and the orthogonal axis j' swapped in) is
+maximized over P_j = {w : chi_j(w) <= chi_{j'}(w)}, which has interior
+exactly on the long axes, and dimH = max_j d_j.  On the boundary
+chi_j = chi_{j'} the value collapses to H(w)/chi_j(w).  When the maps longer
+along j are square in floats, P_j rounds to the face they span and d_j is
+the flat maximum over it.  Over the long axes, directional totals
+A_j = dimB eta_j(K) + t_j give dimA = max_j A_j (Mackay, 2011, for one long
+axis; Fraser, Trans. AMS 2014, for Baranski carpets), and dimB = max_j D_j,
+where D_j solves sum_i a_{j,i}^{s_j} b_i^{D_j - s_j} = 1 with a the axis-j
+ratios, b the orthogonal ones and s_j = dimB eta_j(K) (Baranski, Adv. Math.
+2007); D_1 is the GatzourasLalley box dimension above.  A short axis is
+left out: on a carpet of tall maps A_1 can exceed dimA.  D_j - s_j, like every
 Moran root and the two-group reduction suprema, is a root that moran's one
 Newton solver finds.
 
@@ -59,7 +63,7 @@ import numpy as np
 from .errors import OptimizerFailure, RangeError, WrongClass, WrongShape
 from .moran import _moran_root, solve_moran
 from .systems import (BARANSKI, GATZOURAS_LALLEY, CarpetSystem,
-                      ProbabilityVector, _compare)
+                      ProbabilityVector, _compare, long_axes)
 
 _TOL = 1e-15          # relative step at which Newton and regula falsi stop
 _DECREMENT = 1e-28    # Newton decrement in kappa below rounding of Phi
@@ -70,8 +74,8 @@ _GRID = 12            # slices that bracket the stationary points in theta
 
 @dataclass(frozen=True)
 class DimensionReport:
-    dim_proj_box_1: float
-    dim_proj_box_2: object          # None when rows are not aligned
+    dim_proj_box_1: object          # None when that axis is not aligned,
+    dim_proj_box_2: object          # which the long axis always is
     dimB: object
     dimH: float
     dimA: float
@@ -84,8 +88,8 @@ class DimensionReport:
 class BaranskiDirectional:
     """Per-axis quantities: constrained Hausdorff value d_j, projected box
     dimension, worst slice exponent t_j, and the total A_j = dimB_eta_j + t_j.
-    Entries are None when the axis does not support them (empty P_j, or a
-    projection without Moran structure)."""
+    Entries are None when the axis does not support them (a short axis,
+    whose P_j is empty, or a projection without Moran structure)."""
     d1: object
     d2: object
     dimB_eta1: object
@@ -140,10 +144,7 @@ class _AxisProblem:
         log_a = np.log([float(c.ratio) for c in system.classes(j)])[cls]
         log_b = np.log([float(m.ratio(3 - j)) for m in system.maps])
         theta = log_a / log_b                       # theta of a point mass
-        # the interior of P_j and its float face: see the module docstring
-        orientation = system.orientation
-        self.interior = (1 if j == 1 else -1) in orientation \
-            or not any(orientation)
+        # the float face of P_j: see the module docstring
         members = (np.flatnonzero(theta == 1.0)
                    if theta.min() == 1.0 < theta.max() else np.arange(self.n))
         self.order = members[np.argsort(cls[members], kind="stable")]
@@ -213,13 +214,11 @@ class _AxisProblem:
 
     def maximise(self):
         """(value, w, diagnostics) of the maximum over P_j = {theta <= 1},
-        or None when P_j has no interior.  Interior maxima are the roots
+        which has interior on a long axis.  Interior maxima are the roots
         where psi falls through zero (psi -> +inf at theta_lo, -inf at
         theta_hi <= 1); the slice maximum need not be unimodal, so _GRID
         slices bracket roots that are a grid step apart or more.  The
         boundary theta = 1 is a candidate when psi(1) >= 0."""
-        if not self.interior:
-            return None
         if self.flat:
             return self._result(*self.slice(self.lo))
         up = min(1.0, self.hi)     # theta_hi = 1 is an end, not a boundary
@@ -327,14 +326,14 @@ class AxisAnalysis:
 
     @cached_property
     def maximum(self):
-        """(d_j, argmax, diagnostics) of the Ledrappier-Young value over P_j,
-        or None when P_j has no interior."""
+        """(d_j, argmax, diagnostics) of the Ledrappier-Young value over P_j;
+        only a long axis has one."""
         return _AxisProblem(self.system, self.j).maximise()
 
 
 class Analysis:
     """An AxisAnalysis per axis; dimB (with its residual), dimH and dimA over
-    the axes of a Baranski carpet or the column axis of a GL one; GL dimL."""
+    the long axes; GL dimL on the one long axis."""
 
     def __init__(self, system):
         self.system = system
@@ -346,9 +345,10 @@ class Analysis:
                              % (" or ".join(classes), self.system.klass))
 
     def _axes(self):
-        """Both axes of a Baranski carpet, the column axis of a GL one."""
+        """The AxisAnalysis of each long axis (``long_axes``): both axes of
+        a Baranski carpet, one of a GL carpet."""
         self._need(BARANSKI, GATZOURAS_LALLEY)
-        return self.axes if self.system.klass == BARANSKI else self.axes[:1]
+        return tuple(self.axes[j - 1] for j in long_axes(self.system))
 
     @cached_property
     def box(self):
@@ -357,8 +357,8 @@ class Analysis:
 
     @cached_property
     def dimH(self):
-        """The largest defined Ledrappier-Young maximum d_j."""
-        return max(axis.maximum[0] for axis in self._axes() if axis.maximum)
+        """The largest Ledrappier-Young maximum d_j."""
+        return max(axis.maximum[0] for axis in self._axes())
 
     @cached_property
     def dimA(self):
@@ -367,7 +367,8 @@ class Analysis:
     @cached_property
     def dimL(self):
         self._need(GATZOURAS_LALLEY)
-        return self.axes[0].proj[0] + min(self.axes[0].slice_exponents)
+        axis, = self._axes()
+        return axis.proj[0] + min(axis.slice_exponents)
 
     @cached_property
     def _two_group_shape(self):
@@ -394,33 +395,35 @@ class Analysis:
 # ------------------------------------------------ reports from the analysis
 
 def gl_dims(system: CarpetSystem) -> DimensionReport:
-    """Full dimension report for a GatzourasLalley carpet."""
+    """Full dimension report for a GatzourasLalley carpet, read off its
+    long axis; dim_proj_box_1 and _2 belong to axes 1 and 2."""
     analysis = system.analysis
     analysis._need(GATZOURAS_LALLEY)
+    axis, = analysis._axes()
     dimB, box_residual = analysis.box
-    first, second = analysis.axes
-    s_eta, proj_residual = first.proj
-    _, argmax, optimizer = first.maximum
+    _, argmax, optimizer = axis.maximum
+    first, second = (each.directional[0] for each in analysis.axes)
     return DimensionReport(
-        dim_proj_box_1=s_eta, dim_proj_box_2=second.directional[0],
+        dim_proj_box_1=first, dim_proj_box_2=second,
         dimB=dimB, dimH=analysis.dimH, dimA=analysis.dimA,
         dimL=analysis.dimL, argmax_p=ProbabilityVector(argmax),
-        diagnostics={"proj_moran_residual": proj_residual,
+        diagnostics={"proj_moran_residual": axis.proj[1],
                      "dimB_residual": box_residual,
-                     "slice_exponents": list(first.slice_exponents),
+                     "slice_exponents": list(axis.slice_exponents),
                      "optimizer": dict(optimizer)})
 
 
 def baranski_dims(system: CarpetSystem):
     """(BaranskiDirectional, dimH, dimA) for a Baranski (or GL) system: the
-    directional values of both axes, and the analysis' dimH and dimA."""
+    directional values of both axes (d_j only on a long axis), and the
+    analysis' dimH and dimA."""
     analysis = system.analysis
-    analysis._need(BARANSKI, GATZOURAS_LALLEY)
+    long = analysis._axes()
     fields = {}
     for axis in analysis.axes:
-        best = axis.maximum
         proj, t, total = axis.directional
-        fields.update({"d%d" % axis.j: best[0] if best else None,
+        fields.update({"d%d" % axis.j:
+                       axis.maximum[0] if axis in long else None,
                        "dimB_eta%d" % axis.j: proj, "t%d" % axis.j: t,
                        "A%d" % axis.j: total})
     return BaranskiDirectional(**fields), analysis.dimH, analysis.dimA

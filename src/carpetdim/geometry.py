@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (EmptyInput, InvalidPacking, RangeError, WrongClass,
                      WrongShape)
 from .systems import (BARANSKI, GATZOURAS_LALLEY, EventuallyPeriodicWord,
-                      column_word)
+                      column_word, long_axes)
 
 _EPS = 1e-12
 _CHUNK = 4096       # most child rows _refine makes at once; bounds its memory
@@ -54,14 +54,6 @@ class Rect:
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.width <= 0.0 or self.height <= 0.0:
             raise RangeError("rectangle sides must be positive")
-
-    @property
-    def x1(self):
-        return self.x0 + self.width
-
-    @property
-    def y1(self):
-        return self.y0 + self.height
 
     @property
     def center(self):
@@ -374,6 +366,8 @@ def box_count_ball(system, gamma: EventuallyPeriodicWord, R, r) -> int:
     Base words are the section where the shorter side first drops to r;
     each base is extended along its longer axis, whichever it is, into
     approximate squares (``_squares``) that are tested against the ball.
+    The count depends on the maps, not only on the carpet: the cover of
+    the same carpet given by the n^2 maps of its second iterate differs.
     """
     R = float(R)
     r = float(r)
@@ -523,7 +517,10 @@ def _grid_counts(system, scales):
     square of its ``_cell_range`` count of codes (ceil(1/s)^2 when the maps
     keep to the unit square), and a run's codes must sum below 2^63.  A
     scale with 2^31 or more cells a side is counted on its own, with
-    complex keys.
+    complex keys.  The counts are of the cylinder cover, so they depend on
+    the maps and move when the same carpet is given by its second iterate
+    (build_exceptional("1/40") at k = 5: 531 cells, 529 from its 144
+    composed maps).
     """
     rates, floor = _band_rates(system), _fixed_range(system)[0]
     runs, room = [], 0
@@ -804,35 +801,37 @@ def tangent_cloud(system, gamma: EventuallyPeriodicWord, k,
     """Cloud of the depth-k approximate square around gamma, renormalized
     per axis to the unit square.
 
-    The square (``approximate_square``; on these carpets it extends by
-    columns) fixes the first k letters and the projected classes of the
-    extension letters; the cloud enumerates exactly the attractor points
-    compatible with those constraints, descending until both sides are
-    below the resolution in renormalized units.
+    The square (``approximate_square``; on these carpets it extends along
+    the long axis j, by columns when j = 1) fixes the first k letters and
+    the projected classes of the extension letters; the cloud enumerates
+    exactly the attractor points compatible with those constraints,
+    descending until both sides are below the resolution in renormalized
+    units.  The mirror of a carpet in x = y gives the transposed cloud.
     """
     if system.klass != GATZOURAS_LALLEY:
         raise WrongClass("tangent clouds are defined for GatzourasLalley "
                          "systems, got %s" % system.klass)
     if resolution <= 0.0 or resolution >= 1.0:
         raise RangeError("resolution must lie in (0, 1)")
+    j, = long_axes(system)
     square = approximate_square(system, gamma, k)
     box = square.rect
     maps = _map_steps(system.maps)
-    cols = _extension(system, 1)[0]
-    # the first levels keep to the maps in the extension's column classes
-    ext = [_map_steps(system.maps[m] for m in system.columns[cid].members)
+    along = _extension(system, j)[0]
+    # the first levels keep to the maps in the extension's axis-j classes
+    ext = [_map_steps(system.maps[m] for m in system.classes(j)[cid].members)
            for cid in square.extension]
-    wlim = resolution * box.width
-    hlim = resolution * box.height
+    # renormalized resolution of (w, h); j - 1 indexes the long side
+    lim = (resolution * box.width, resolution * box.height)
     pts = []
     start = _root(*_compose(system.maps[i] for i in square.base))
     for block in _refine(start, lambda n: ext[n] if n < len(ext) else maps,
                          lambda x0, y0, w, h, n:
-                         (n >= len(ext)) & (h <= hlim)):
-        # the height is resolved: only x still needs refining, so descend
-        # through projected columns, which keep y0 and h
-        for x0, y0, w, h in _refine(block, cols,
-                                    lambda x0, y0, w, h, n: w <= wlim):
+                         (n >= len(ext)) & ((w, h)[2 - j] <= lim[2 - j])):
+        # the short side is resolved: only the long one still needs
+        # refining, so descend through axis-j classes, which keep the other
+        for x0, y0, w, h in _refine(block, along, lambda x0, y0, w, h, n:
+                                    (w, h)[j - 1] <= lim[j - 1]):
             pts.append(np.column_stack(((x0 + 0.5 * w - box.x0) / box.width,
                                         (y0 + 0.5 * h - box.y0) / box.height)))
     pts = np.concatenate(pts)       # rows in sorted() order: by x, then y

@@ -4,6 +4,13 @@ This module hosts the operations that depend on a coded point gamma: the
 non-autonomous fiber induced by its column word, the pointwise Assouad
 dimension, level sets, and the 12-map example family whose pointwise
 dimension exceeds the box dimension only on a small set of points.
+
+The pointwise value has one entry point, ``_pointwise``, for both classes:
+the axis is the one gamma's Lyapunov class picks (``classify_word``), so on
+a GL carpet it is the long axis, and a carpet and its mirror in x = y give
+the same report with the axes swapped.  One separation policy holds: when
+the projection on that axis is not strongly separated the value is still
+reported, with ``regularity_warning`` set, as a lower bound.
 """
 
 from __future__ import annotations
@@ -14,10 +21,11 @@ from fractions import Fraction
 
 # gl_dims is unused here, but perfbench's tracer wraps pointwise.gl_dims
 from .dimensions import baranski_dims, gl_dims  # noqa: F401
-from .errors import InvalidSystem, RangeError, Unsupported, WrongClass
+from .errors import InvalidSystem, RangeError, Unsupported
 from .moran import ColumnSequence, nonauto_assouad
 from .systems import (BARANSKI, GATZOURAS_LALLEY, CarpetSystem, DiagonalMap,
-                      EventuallyPeriodicWord, classify_word, validate)
+                      EventuallyPeriodicWord, classify_word, long_axes,
+                      validate)
 
 
 @dataclass(frozen=True)
@@ -26,11 +34,12 @@ class PointwiseReport:
 
     fiber_dim is the Assouad dimension of the symbolic slice through the
     point, tangent_dim the dimension of the largest tangent set there, and
-    pointwise_assouad the pointwise Assouad dimension itself.  When the
-    relevant projected system is not strongly separated the formulas are
-    still reported but only guaranteed to be lower bounds, which
-    regularity_warning records.  pointwise_assouad is the larger of the
-    closed-form box dimension and tangent_dim.
+    pointwise_assouad the pointwise Assouad dimension itself, the larger of
+    the closed-form box dimension and tangent_dim.  regularity_warning is
+    set when the projection on ``axis`` is not strongly separated: the
+    tangent built from gamma's own cylinders is still a tangent of the
+    carpet at the point, but neighbouring projected cylinders may touch the
+    point and add larger tangents, so the value is only a lower bound.
     """
 
     fiber_dim: float
@@ -57,61 +66,48 @@ def symbolic_slice(system: CarpetSystem, gamma: EventuallyPeriodicWord,
         period=tuple(fibers[lookup[i]] for i in gamma.period))
 
 
-def _pointwise(system, gamma, j, omega, regularity_warning):
-    """The report on axis j: the slice fiber along gamma, the tangent
-    s_eta_j + fiber, and its max with dimB."""
-    analysis = system.analysis
-    fiber = nonauto_assouad(symbolic_slice(system, gamma, axis=j))
-    tangent = analysis.axes[j - 1].proj[0] + fiber
-    return PointwiseReport(
-        fiber_dim=fiber, tangent_dim=tangent,
-        pointwise_assouad=max(analysis.box[0], tangent), axis=j,
-        regularity_warning=regularity_warning, omega_class=omega)
-
-
-def pointwise_assouad_gl(system: CarpetSystem,
-                         gamma: EventuallyPeriodicWord) -> PointwiseReport:
+def _pointwise(system, gamma):
     """Pointwise Assouad dimension at the point coded by gamma.
-
-    The fiber exponent comes from the non-autonomous slice through the
-    point's column word; adding the projected box dimension gives the
-    largest tangent there, and the pointwise value is that total capped
-    below by the global box dimension.  Without strong separation of the
-    column projection the value is a guaranteed lower bound only, so the
-    report sets regularity_warning instead of failing.
-    """
-    if system.klass != GATZOURAS_LALLEY:
-        raise WrongClass("pointwise formula needs GatzourasLalley, got %s"
-                         % system.klass)
-    omega, _ = classify_word(system, gamma)
-    return _pointwise(system, gamma, 1, omega, not system.eta1_ssc)
-
-
-def pointwise_assouad_baranski(system: CarpetSystem,
-                               gamma: EventuallyPeriodicWord,
-                               ) -> PointwiseReport:
-    """Pointwise Assouad dimension on the axis singled out by gamma.
 
     Words contracting asymptotically faster in the vertical slice along
     columns (axis 1), the opposite ones along rows (axis 2); balanced words
-    admit no formula and are rejected.  As in the GL case the value is the
-    tangent on that axis capped below by the closed-form box dimension
-    max_j D_j.
+    (Omega0) admit no formula and are rejected.  The fiber exponent comes
+    from the non-autonomous slice through gamma's classes on that axis;
+    adding the axis' projected box dimension gives the largest tangent
+    there, and the value is that total capped below by the closed-form box
+    dimension.  Without strong separation of the axis' projection it is a
+    lower bound, reported with regularity_warning (see PointwiseReport).
     """
-    if system.klass not in (BARANSKI, GATZOURAS_LALLEY):
-        raise WrongClass("pointwise formula needs a Baranski system, got %s"
-                         % system.klass)
     omega, _ = classify_word(system, gamma)
     if omega == "Omega0":
         raise Unsupported(
             "word contracts at the same asymptotic rate on both axes "
             "(Omega0); no pointwise formula applies")
     j = 1 if omega == "Omega1" else 2
-    if not (system.eta1_ssc if j == 1 else system.eta2_ssc):
-        raise Unsupported(
-            "axis-%d projection is not strongly separated, so the slice "
-            "formula does not apply" % j)
-    return _pointwise(system, gamma, j, omega, False)
+    analysis = system.analysis
+    fiber = nonauto_assouad(symbolic_slice(system, gamma, axis=j))
+    tangent = analysis.axes[j - 1].proj[0] + fiber
+    return PointwiseReport(
+        fiber_dim=fiber, tangent_dim=tangent,
+        pointwise_assouad=max(analysis.box[0], tangent), axis=j,
+        regularity_warning=not (system.eta1_ssc, system.eta2_ssc)[j - 1],
+        omega_class=omega)
+
+
+def pointwise_assouad_gl(system: CarpetSystem,
+                         gamma: EventuallyPeriodicWord) -> PointwiseReport:
+    """``_pointwise`` on a GatzourasLalley carpet, WrongClass otherwise."""
+    system.analysis._need(GATZOURAS_LALLEY)
+    return _pointwise(system, gamma)
+
+
+def pointwise_assouad_baranski(system: CarpetSystem,
+                               gamma: EventuallyPeriodicWord,
+                               ) -> PointwiseReport:
+    """``_pointwise`` on a Baranski or GatzourasLalley carpet, WrongClass
+    otherwise."""
+    system.analysis._need(BARANSKI, GATZOURAS_LALLEY)
+    return _pointwise(system, gamma)
 
 
 def level_set_dim(system: CarpetSystem, alpha):
@@ -139,22 +135,17 @@ def few_large_tangents(system: CarpetSystem):
     points whose pointwise Assouad dimension reaches the global maximum
     form a set of Hausdorff dimension d_j < dimH.  Returns (False, None)
     when no axis splits this way.  Needs both projections strongly
-    separated and, unless every map is square, both wider and taller maps,
-    read from ``system.orientation`` as ``baranski_dims`` reads them (so
-    both d_j are defined; exact on Fraction systems).
+    separated and both axes long (``long_axes``, as ``baranski_dims`` reads
+    them, so both d_j are defined; exact on Fraction systems).
     """
-    if system.klass not in (BARANSKI, GATZOURAS_LALLEY):
-        raise WrongClass("few-large-tangents test needs a Baranski system, "
-                         "got %s" % system.klass)
-    has_wide, has_tall = 1 in system.orientation, -1 in system.orientation
+    system.analysis._need(BARANSKI, GATZOURAS_LALLEY)
     # one-sided systems can satisfy the split criterion spuriously, so they
     # are rejected; all-square systems evaluate it honestly (to False)
-    if has_wide and not has_tall:
-        raise Unsupported("no map contracts faster horizontally, so no "
-                          "word is vertical-slice dominant (Omega2 empty)")
-    if has_tall and not has_wide:
-        raise Unsupported("no map contracts faster vertically, so no word "
-                          "is horizontal-slice dominant (Omega1 empty)")
+    axes = long_axes(system)
+    if len(axes) == 1:
+        short = 3 - axes[0]
+        raise Unsupported("no map is longer along axis %d than across it, "
+                          "so Omega%d is empty" % (short, short))
     for j, flag in ((1, system.eta1_ssc), (2, system.eta2_ssc)):
         if not flag:
             raise Unsupported("axis-%d projection is not strongly "

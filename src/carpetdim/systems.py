@@ -4,14 +4,17 @@ A system is a finite list of affine contractions of the unit square
 
     T_i(x, y) = (r1_i * x + d1_i,  r2_i * y + d2_i),   0 < r1_i, r2_i < 1.
 
-Class detection follows the usual carpet taxonomy:
+Which axes a carpet uses is decided once, by ``long_axes``: the axes along
+which some map is longer than across it, or both when every map is square.
+A carpet and its mirror in x = y get the same axes, swapped.  Class
+detection follows the usual carpet taxonomy:
 
-* ``GatzourasLalley`` -- open images pairwise disjoint, the axis-1
-  projections of any two maps are either identical or have disjoint open
-  intervals (column structure), and every map is wider than tall
-  (r1_i > r2_i).
-* ``Baranski`` -- open images pairwise disjoint and the projection condition
-  holds on *both* axes (columns and rows), with no ratio ordering.
+* ``GatzourasLalley`` -- open images pairwise disjoint, exactly one long
+  axis j, and the axis-j projections of any two maps either identical or
+  with disjoint open intervals (aligned on j).  j = 1: no map is taller
+  than wide, the classes are columns; j = 2 is its mirror, with rows.
+* ``Baranski`` -- open images pairwise disjoint, aligned on *both* axes
+  (columns and rows), and both axes long.
 * ``DiagonalOnly`` -- anything else with valid ratios; the symbolic machinery
   still works but no closed-form dimension applies.
 
@@ -23,9 +26,8 @@ exactly when every entry of the system is a Fraction, otherwise in floats
 with differences within 1e-12 counted as ties.  So on rational input these
 decisions are exact: the eta_j classes, alignment, strong separation, the
 GatzourasLalley / Baranski class, each map's orientation (the sign of
-r1 - r2, kept as ``orientation``), the orientation class of a word
-(``classify_word``), whether P_j = {chi_j <= chi_j'} has interior (which
-the dimension layer reads from ``orientation``) and the unit-square
+r1 - r2, kept as ``orientation`` and read by ``long_axes`` alone), the
+orientation class of a word (``classify_word``) and the unit-square
 warning.
 """
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -102,7 +104,7 @@ class CarpetSystem:
     eta2_ssc: bool
     eta1_aligned: bool      # projection condition on axis 1 (see validate)
     eta2_aligned: bool
-    orientation: tuple      # per map, the sign of r1 - r2 (see validate)
+    orientation: tuple      # per map, the sign of r1 - r2 (see long_axes)
     warnings: tuple = field(default=())
 
     def __len__(self):
@@ -244,27 +246,28 @@ def validate(maps) -> CarpetSystem:
                    for a, b in itertools.combinations(norm, 2))
     col_aligned = _apart([(c.offset, c.ratio) for c in columns], exact)
     row_aligned = _apart([(c.offset, c.ratio) for c in rows], exact)
-    orientation = tuple(_compare(m.r1, m.r2, exact) for m in norm)
+    system = CarpetSystem(
+        maps=norm, klass=DIAGONAL_ONLY, columns=columns, rows=rows,
+        eta1_ssc=_axis_ssc(columns, exact), eta2_ssc=_axis_ssc(rows, exact),
+        eta1_aligned=col_aligned, eta2_aligned=row_aligned,
+        orientation=tuple(_compare(m.r1, m.r2, exact) for m in norm),
+        warnings=tuple(warnings))
+    axes = long_axes(system)
+    if disjoint and len(axes) == 1 and system.aligned(*axes):
+        return replace(system, klass=GATZOURAS_LALLEY)
+    if disjoint and col_aligned and row_aligned:
+        return replace(system, klass=BARANSKI)
+    return system
 
-    if disjoint and col_aligned and min(orientation) > 0:
-        klass = GATZOURAS_LALLEY
-    elif disjoint and col_aligned and row_aligned:
-        klass = BARANSKI
-    else:
-        klass = DIAGONAL_ONLY
 
-    return CarpetSystem(
-        maps=norm,
-        klass=klass,
-        columns=columns,
-        rows=rows,
-        eta1_ssc=_axis_ssc(columns, exact),
-        eta2_ssc=_axis_ssc(rows, exact),
-        eta1_aligned=col_aligned,
-        eta2_aligned=row_aligned,
-        orientation=orientation,
-        warnings=tuple(warnings),
-    )
+def long_axes(system: CarpetSystem) -> tuple:
+    """The axes along which some map is longer than across it, or (1, 2)
+    when every map is square: the axes j whose P_j = {chi_j <= chi_j'} has
+    interior.  The class, the dimensions, the split test and tangent clouds
+    all read their axes here."""
+    axes = tuple(j for j, sign in ((1, 1), (2, -1))
+                 if sign in system.orientation)
+    return axes or (1, 2)
 
 
 def system_from_config(config: dict) -> CarpetSystem:

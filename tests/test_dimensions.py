@@ -70,8 +70,11 @@ def random_gl_system(rng):
 
 
 def random_baranski_system(rng):
-    """Random cells of a random grid: columns and rows align, and the cell
-    shapes mix wide and tall."""
+    """Random cells of a random grid: columns and rows align, and some cell
+    is not wider than tall.  Draws whose cells are all taller than wide are
+    GatzourasLalley along rows (draws 12 and 21 of default_rng(2024)); they
+    are kept, so each seed gives the draws it gave when they were classed
+    Baranski."""
     while True:
         widths = rng.dirichlet(np.ones(int(rng.integers(2, 5)))) * 0.95
         heights = rng.dirichlet(np.ones(int(rng.integers(2, 5)))) * 0.95
@@ -85,7 +88,7 @@ def random_baranski_system(rng):
                                        float(heights[cells[c][1]]),
                                        float(x[cells[c][0]]),
                                        float(y[cells[c][1]])) for c in pick])
-        if system.klass == "Baranski":
+        if min(system.orientation) <= 0:
             return system
 
 
@@ -245,7 +248,8 @@ def test_gl_dims_needs_gl_class(monkeypatch):
 
     monkeypatch.setattr(_AxisProblem, "maximise", refuse)
     baranski = validate([([1, 4], [1, 2], 0, 0),
-                         ([1, 4], [1, 2], [1, 2], [1, 2])])
+                         ([1, 2], [1, 4], [1, 2], [1, 2])])
+    assert baranski.klass == "Baranski"
     with pytest.raises(WrongClass):
         gl_dims(baranski)
     with pytest.raises(WrongClass):

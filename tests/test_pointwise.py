@@ -221,11 +221,14 @@ def test_pointwise_baranski_rejects_balanced_words():
         pointwise_assouad_baranski(square4(), word((), (0,)))
 
 
-def test_pointwise_baranski_rejects_missing_separation():
-    # delta = 0 closes the gaps, so both projections lose the SSC
+def test_pointwise_baranski_warns_without_separation():
+    # delta = 0 closes the gaps, so both projections lose the SSC: the
+    # value is reported as a lower bound, as on GL carpets
     system = build_exceptional(0)
-    with pytest.raises(Unsupported):
-        pointwise_assouad_baranski(system, word((), (0,)))
+    report = pointwise_assouad_baranski(system, word((), (0,)))
+    assert report.axis == 1 and report.regularity_warning is True
+    assert report.fiber_dim == pytest.approx(1.0, abs=1e-12)
+    assert report.pointwise_assouad == pytest.approx(2.0, abs=1e-12)
 
 
 def test_pointwise_baranski_fiber_below_worst_slice():

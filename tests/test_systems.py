@@ -14,6 +14,7 @@ from carpetdim import (CarpetSystem, DiagonalMap, EventuallyPeriodicWord,
                        column_word, system_from_config, system_to_config,
                        validate)
 from carpetdim.pointwise import build_exceptional
+from carpetdim.systems import long_axes
 from carpets import HALF, QUARTER, gl3
 
 
@@ -25,9 +26,17 @@ def test_validate_two_touching_columns_is_gl_without_ssc():
     assert system.eta1_ssc is False
 
 
-def test_validate_taller_than_wide_is_baranski():
+def test_validate_taller_than_wide_is_gl_along_rows():
+    # the mirror of a two-column GL carpet: its one long axis is axis 2
     system = validate([([1, 4], [1, 2], 0, 0), ([1, 4], [1, 2], [1, 2], [1, 2])])
-    assert system.klass == "Baranski"
+    assert system.klass == "GatzourasLalley"
+    assert long_axes(system) == (2,)
+    # with one wide map as well both axes are long, and the class Baranski
+    mixed = validate([([1, 4], [1, 2], 0, 0), ([1, 2], [1, 4], [1, 2], [1, 2])])
+    assert mixed.klass == "Baranski" and long_axes(mixed) == (1, 2)
+    # rows that overlap leave a taller-than-wide carpet DiagonalOnly
+    assert validate([([1, 4], [1, 2], 0, 0),
+                     ([1, 4], [1, 2], [1, 2], [1, 4])]).klass == "DiagonalOnly"
 
 
 def test_validate_exceptional_family():
