@@ -44,8 +44,22 @@ jointly convex Phi = log sum_l a_l^(s - kappa) Z_l(kappa)^theta.  Along
 theta the slice value moves at rate psi/chi_j, psi = sum_l q_l log Z_l:
 interior maxima are roots of psi, where kappa is the Dinkelbach ratio of
 the conditional part and q_l ~ a_l^D Z_l(kappa)^theta with D = H(q)/chi_j,
-and theta = 1 is the boundary.  A root that misses its tolerance within a
-fixed cap raises OptimizerFailure.
+and theta = 1 is the boundary.
+
+The solver evaluates Phi and its derivatives on an array of slices, one row
+each, so the _GRID slices that bracket the roots of psi are solved in
+lockstep, one evaluation per step for all rows.  Each row takes Newton steps
+in s (step Phi/chi_j) until the step reaches rounding or stops shrinking;
+before each, Newton in kappa, kept in a sign bracket, runs to rounding, and
+after each, kappa follows its tangent, dkappa = -(dPhi/dkappa + Phi_s,kappa
+ds)/Phi_kappa,kappa, from the same evaluation.  A root of psi is found by
+Newton in theta along the slice solutions, with dpsi/dtheta from the same
+evaluation's second derivatives, each new slice started from the predicted
+(s, kappa); a Newton step that would leave the bracket, or that follows a
+step which did not shrink |psi|, gives way to an Illinois step.  A long axis
+of a GL carpet with one class needs no solve: its maximum is D_j.
+``iterations`` counts evaluations, and more than _MAX_STEPS of them for one
+maximum raise OptimizerFailure.
 
 The Analysis at ``system.analysis`` computes each number once and takes every
 maximum over axes; gl_dims, baranski_dims and pointwise read its fields.
@@ -68,7 +82,7 @@ from .systems import (BARANSKI, GATZOURAS_LALLEY, CarpetSystem,
 _TOL = 1e-15          # relative step at which Newton and regula falsi stop
 _DECREMENT = 1e-28    # Newton decrement in kappa below rounding of Phi
 _PSI_TOL = 1e-14      # |psi| at which the slice counts as stationary
-_MAX_STEPS = 200      # cap per iteration; beyond it OptimizerFailure
+_MAX_STEPS = 1000     # Gibbs evaluations per maximum, then OptimizerFailure
 _GRID = 12            # slices that bracket the stationary points in theta
 
 
@@ -135,7 +149,8 @@ class _AxisProblem:
     """The axis-j maximisation in Gibbs form (see the module docstring).
     Maps are sorted by axis-j class l, of ratio a_l; b_i is the orthogonal
     ratio of map i; when P_j rounds to a face, only its maps take part.  A
-    slice is the tuple (theta, psi, (s, kappa, w))."""
+    slice is the tuple (theta, psi, (s, kappa, w)); ``slices`` adds its
+    slope (ds, dkappa, dpsi)/dtheta along the slice solutions."""
 
     def __init__(self, system, j):
         lookup = system.class_index(j)
@@ -158,59 +173,115 @@ class _AxisProblem:
         # flat: equal thetas, where Phi does not vary in kappa, or thetas
         # closer than the _GRID slices resolve (they would round onto an end)
         self.flat = self.hi - self.lo <= _GRID * math.ulp(self.hi)
-        self.iterations = 0
+        self.iterations = 0                         # Gibbs evaluations
 
     def gibbs(self, s, kappa, theta):
-        """(Phi, dPhi/dkappa, d2Phi/dkappa2, w, chi_j(w), psi) at a point."""
-        cls, starts, log_b = self.cls, self.starts, self.log_b
+        """Phi at rows (s, kappa, theta), given as columns, in one
+        evaluation: (Phi, dPhi/dkappa, d2Phi/dkappa2, d2Phi/dkappa ds,
+        chi_j(w)), one entry per row, and the parts that w, psi and the
+        slopes of a finished row are read from.  Sums run along rows, not
+        through ``@``, so a row's arithmetic does not depend on how many
+        rows share the evaluation."""
+        cls, starts, log_a, log_b = (self.cls, self.starts, self.log_a,
+                                     self.log_b)
+        self.iterations += 1
         e = kappa * log_b
-        top = np.maximum.reduceat(e, starts)
-        ex = np.exp(e - top[cls])
-        z = np.add.reduceat(ex, starts)
-        p = ex / z[cls]
+        top = np.maximum.reduceat(e, starts, axis=1)
+        ex = np.exp(e - top.take(cls, axis=1))
+        z = np.add.reduceat(ex, starts, axis=1)
+        p = ex / z.take(cls, axis=1)
         log_z = np.log(z) + top
-        mean = np.add.reduceat(p * log_b, starts)
-        var = np.add.reduceat(p * (log_b - mean[cls]) ** 2, starts)
-        u = (s - kappa) * self.log_a + theta * log_z
-        q = np.exp(u - u.max())
-        phi = float(u.max() + np.log(q.sum()))
-        q /= q.sum()
-        du = theta * mean - self.log_a
-        d1 = float(q @ du)
-        d2 = float(q @ (du - d1) ** 2 + theta * (q @ var))
-        chi = -float(q @ self.log_a)
-        return phi, d1, d2, q[cls] * p, chi, float(q @ log_z)
+        mean = np.add.reduceat(p * log_b, starts, axis=1)
+        dev = log_b - mean.take(cls, axis=1)
+        var = np.add.reduceat(p * dev * dev, starts, axis=1)
+        u = (s - kappa) * log_a + theta * log_z
+        top = u.max(axis=1, keepdims=True)
+        q = np.exp(u - top)
+        total = q.sum(axis=1, keepdims=True)
+        q /= total
+        du = theta * mean - log_a
+        qdu = q * du
+        d1 = qdu.sum(axis=1, keepdims=True)
+        dev = du - d1
+        d2 = (q * (dev * dev + theta * var)).sum(axis=1)
+        chi = -(q * log_a).sum(axis=1)
+        d1 = d1[:, 0]
+        dsk = (qdu * log_a).sum(axis=1) + chi * d1
+        return ((top + np.log(total))[:, 0], d1, d2, dsk, chi,
+                (q, p, log_z, mean, du))
+
+    def slices(self, thetas, s, kappa):
+        """The maxima on chi_j = theta chi_j' for each theta in lockstep,
+        one evaluation per step for all rows, from the start (s, kappa)
+        (one per row).  Each row takes Newton steps in s on the
+        convex decreasing min_kappa Phi, stopping at rounding or when the
+        step no longer shrinks; between them Newton in kappa, kept in a sign
+        bracket, stops at rounding, and after each s step kappa moves along
+        its tangent.  Returns a (theta, psi, (s, kappa, w), slope) per row."""
+        rows = len(thetas)
+        theta = np.array(thetas, dtype=float)[:, None]
+        s, kappa = list(s), list(kappa)
+        lo, hi, last = [-math.inf] * rows, [math.inf] * rows, [math.inf] * rows
+        busy = range(rows)
+        while busy:
+            if self.iterations >= _MAX_STEPS:
+                raise OptimizerFailure(
+                    "no slice maximum at theta=%.15g within %d evaluations"
+                    % (thetas[busy[0]], _MAX_STEPS))
+            *values, parts = self.gibbs(np.array(s)[:, None],
+                                        np.array(kappa)[:, None], theta)
+            phi, d1, d2, dsk, chi = (v.tolist() for v in values)
+            moving = []
+            for r in busy:
+                k, g, h = kappa[r], d1[r], d2[r]
+                if not (self.flat or g * g <= _DECREMENT * h):
+                    lo[r], hi[r] = (lo[r], k) if g > 0.0 else (k, hi[r])
+                    new = k - g / h if h > 0.0 else math.nan
+                    if not lo[r] < new < hi[r]:
+                        new = (0.5 * (lo[r] + hi[r])
+                               if math.isfinite(lo[r] + hi[r]) else
+                               k - math.copysign(max(1.0, abs(k)), g))
+                    if abs(new - k) > _TOL * max(1.0, abs(k)):
+                        kappa[r] = new
+                        moving.append(r)
+                        continue
+                step = phi[r] / chi[r]
+                if (abs(step) <= _TOL * max(1.0, abs(s[r]))
+                        or abs(step) >= last[r]):
+                    continue
+                s[r] += step
+                last[r], lo[r], hi[r] = abs(step), -math.inf, math.inf
+                if not self.flat and h > 0.0:
+                    kappa[r] = k - (g + dsk[r] * step) / h
+                moving.append(r)
+            busy = moving
+        # finished rows kept their (s, kappa): the last evaluation holds all
+        return self._rows(theta, s, kappa, values, parts)
+
+    def _rows(self, theta, s, kappa, values, parts):
+        """The slices of an evaluation at the rows' solutions, with their
+        slopes: along a solution Phi = 0 and dPhi/dkappa = 0, so s moves at
+        psi/chi_j and kappa with the tangent of the kappa minimum."""
+        _, _, d2, dsk, chi = values
+        q, p, log_z, mean, du = parts
+        psi = (q * log_z).sum(axis=1)
+        dz = log_z - psi[:, None]
+        qdz = q * dz
+        ds = psi / chi
+        tk = (qdz * du + q * mean).sum(axis=1)
+        dk = np.zeros_like(ds)
+        if not self.flat:
+            np.divide(-(dsk * ds + tk), d2, out=dk, where=d2 > 0.0)
+        dpsi = ((qdz * dz).sum(axis=1) + (qdz * self.log_a).sum(axis=1) * ds
+                + tk * dk)
+        w = q.take(self.cls, axis=1) * p
+        return [(t, f, (a, k, row), slope) for t, f, a, k, row, slope in zip(
+            theta[:, 0].tolist(), psi.tolist(), s, kappa, w,
+            zip(ds.tolist(), dk.tolist(), dpsi.tolist()))]
 
     def slice(self, theta, s=0.0, kappa=0.0):
-        """The maximum on chi_j = theta chi_j': Newton in s on the convex
-        decreasing min_kappa Phi, whose minimum comes from Newton in kappa
-        kept in a sign bracket; each stops at rounding."""
-        self.iterations += 1
-        if self.iterations > _MAX_STEPS:
-            raise OptimizerFailure("more than %d slices" % _MAX_STEPS)
-        last = math.inf
-        for _ in range(_MAX_STEPS):
-            lo, hi = -math.inf, math.inf
-            for _ in range(_MAX_STEPS):
-                phi, d1, d2, w, chi, psi = self.gibbs(s, kappa, theta)
-                if self.flat or d1 * d1 <= _DECREMENT * d2:
-                    break
-                lo, hi = (lo, kappa) if d1 > 0.0 else (kappa, hi)
-                new = kappa - d1 / d2 if d2 > 0.0 else math.nan
-                if not lo < new < hi:
-                    new = (0.5 * (lo + hi) if math.isfinite(lo + hi) else
-                           kappa - math.copysign(max(1.0, abs(kappa)), d1))
-                if abs(new - kappa) <= _TOL * max(1.0, abs(kappa)):
-                    break
-                kappa = new
-            else:
-                raise OptimizerFailure("Phi has no minimum in kappa at "
-                                       "theta=%.15g" % theta)
-            step = phi / chi
-            if abs(step) <= _TOL * max(1.0, abs(s)) or abs(step) >= last:
-                return theta, psi, (s, kappa, w)
-            s, last = s + step, abs(step)
-        raise OptimizerFailure("no slice maximum at theta=%.15g" % theta)
+        """The one-row ``slices``: (theta, psi, (s, kappa, w))."""
+        return self.slices([theta], [s], [kappa])[0][:3]
 
     def maximise(self):
         """(value, w, diagnostics) of the maximum over P_j = {theta <= 1},
@@ -223,32 +294,49 @@ class _AxisProblem:
             return self._result(*self.slice(self.lo))
         up = min(1.0, self.hi)     # theta_hi = 1 is an end, not a boundary
         n = _GRID if self.hi > 1.0 else _GRID + 1
-        points = [(self.lo, math.inf, (0.0, 0.0))]
-        for k in range(1, _GRID + 1):
-            theta = up - (up - self.lo) * (n - k) / n
-            points.append(self.slice(theta, *points[-1][2][:2]))
+        points = [(self.lo, math.inf, None, None)] + self.slices(
+            [up - (up - self.lo) * (n - k) / n for k in range(1, _GRID + 1)],
+            [0.0] * _GRID, [0.0] * _GRID)
         rising = self.hi > 1.0 and points[-1][1] >= 0.0
         best = [points[-1]] if rising else []
         if self.hi <= 1.0:
-            points.append((self.hi, -math.inf, None))
+            points.append((self.hi, -math.inf, None, None))
         best += [self._root(a, b) for a, b in zip(points, points[1:])
                  if a[1] > 0.0 >= b[1]]
-        return self._result(*max(best, key=lambda point: point[2][0]))
+        return self._result(*max(best, key=lambda point: point[2][0])[:3])
 
     def _root(self, a, b):
-        """Root of psi between slices a (psi > 0) and b (psi <= 0): halving
-        while an end is infinite, Illinois regula falsi after."""
-        point, side = (b if math.isinf(a[1]) else a), 0
+        """Root of psi between slices a (psi > 0) and b (psi <= 0): Newton
+        in theta along the slice solutions from the finite end of smaller
+        |psi|, each slice started from the slope's prediction of (s, kappa).
+        Where a Newton step would leave the bracket, or |psi| stopped
+        shrinking, the step is halving while an end is infinite and Illinois
+        regula falsi after."""
+        point = min((end for end in (a, b) if math.isfinite(end[1])),
+                    key=lambda end: abs(end[1]))
+        side, size = 0, math.inf
         while abs(point[1]) > _PSI_TOL and b[0] - a[0] > _TOL * b[0]:
-            (ta, fa, _), (tb, fb, _) = a, b
-            theta = (0.5 * (ta + tb) if math.isinf(fa - fb)
-                     else (ta * fb - tb * fa) / (fb - fa))
-            point = self.slice(theta, *point[2][:2])
+            (ta, fa, *_), (tb, fb, *_) = a, b
+            theta, psi, (s, kappa, _), (ds, dk, dpsi) = point
+            new = theta - psi / dpsi if dpsi < 0.0 else math.nan
+            if not (abs(psi) < size and ta < new < tb):
+                new = (0.5 * (ta + tb) if math.isinf(fa - fb)
+                       else (ta * fb - tb * fa) / (fb - fa))
+            size, step = abs(psi), new - theta
+            point, = self.slices([new], [s + ds * step], [kappa + dk * step])
             if point[1] > 0.0:
-                a, b, side = point, (b if side < 1 else (tb, fb / 2, 0)), 1
+                a, b, side = point, (b if side < 1 else (tb, fb / 2)), 1
             else:
-                a, b, side = (a if side > -1 else (ta, fa / 2, 0)), point, -1
+                a, b, side = (a if side > -1 else (ta, fa / 2)), point, -1
         return point
+
+    def moran(self, t):
+        """The maximum when axis j has one class and theta <= 1 throughout:
+        the slice with w_i = b_i^t, kappa = t and psi = 0 for the Moran root
+        t of the b_i."""
+        w = np.exp(t * self.log_b)
+        return self._result(float(self.log_a[0] / (w @ self.log_b)), 0.0,
+                            (t, t, w))
 
     def _result(self, theta, psi, state):
         """(s, w tuple, read-only diagnostics); the residual is the sup norm
@@ -327,8 +415,17 @@ class AxisAnalysis:
     @cached_property
     def maximum(self):
         """(d_j, argmax, diagnostics) of the Ledrappier-Young value over P_j;
-        only a long axis has one."""
-        return _AxisProblem(self.system, self.j).maximise()
+        only a long axis has one.  On a GL carpet whose long axis has one
+        class, H(eta_j w) = 0 and s_eta_j = 0, so the value is
+        H(w)/chi_j'(w) with b the orthogonal ratios, and Gibbs' inequality
+        H(w) - t chi_j'(w) <= log sum_i b_i^t = 0 for their Moran root t,
+        with equality at w_i = b_i^t, makes t = D_j the maximum: it is taken
+        with no solve."""
+        problem = _AxisProblem(self.system, self.j)
+        if (self.system.klass == GATZOURAS_LALLEY
+                and len(self.system.classes(self.j)) == 1):
+            return problem.moran(self.box[0])
+        return problem.maximise()
 
 
 class Analysis:

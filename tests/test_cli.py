@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import carpetdim
+from carpetdim import dimensions
 from carpetdim.cli import load_config, parse_columns, parse_gamma, run
 from carpetdim.dimensions import _AxisProblem
 from carpetdim.geometry import _grid_count
@@ -151,6 +152,19 @@ def test_dims_baranski_box_dimension(capsys, monkeypatch):
         assert envelope["results"]["dimB"] == pytest.approx(expected,
                                                             abs=1e-12)
         assert envelope["warnings"] == []
+
+
+def test_dims_exits_4_when_a_maximum_runs_out_of_evaluations(capsys,
+                                                               monkeypatch):
+    # gl3's one flat slice takes two evaluations (Phi is affine in s there,
+    # so one Newton step lands on the root); exc(1/40) fails in its grid
+    texts = [json.dumps(GL3_CONFIG), example(capsys, monkeypatch, "1/40")]
+    monkeypatch.setattr(dimensions, "_MAX_STEPS", 1)
+    for text in texts:
+        code, envelope, _ = invoke(capsys, monkeypatch, ["dims"], stdin=text)
+        assert code == 4
+        assert envelope["diagnostics"]["error"] == "OptimizerFailure"
+        assert "theta=" in envelope["warnings"][0]
 
 
 def test_dims_reduction_needs_the_exact_two_group_shape(capsys, monkeypatch):

@@ -19,6 +19,7 @@ from carpetdim import (DiagonalMap, EventuallyPeriodicWord,
                        reduction_suprema, validate)
 from carpetdim.dimensions import _AxisProblem
 from carpetdim.pointwise import build_exceptional
+from carpetdim.systems import long_axes
 from carpets import gl2, gl3, mcmullen
 from oracles.frozen import (EXC0_D1, EXC0_D2, EXC0_P0, EXC0_SUP_D1,
                             EXC0_SUP_D2, EXC40_A1, EXC40_A2, EXC40_D1,
@@ -45,6 +46,12 @@ NEAR_FLAT_MAPS = [
                 Fraction(d, 10)) for d in (0, 1, 2)] + [
     DiagonalMap(Fraction(1, 10), Fraction(1, 10),
                 Fraction(10 ** 15 + 1, 10 ** 16), Fraction(0))]
+
+# a GL carpet whose axis-1 slice value peaks near theta = 0.2, dips, then
+# rises again towards the boundary theta = 1
+BOUNDARY_ALSO_RISES = [([37, 200], [4, 5], 0, 0),
+                       ([37, 200], [7, 50], 0, [41, 50]),
+                       ([7, 10], [1, 120], [1, 5], [24, 25])]
 
 
 def random_gl_system(rng):
@@ -208,11 +215,8 @@ def test_no_random_feasible_vector_beats_the_maximum():
 
 
 def test_axis_maximum_inside_when_the_boundary_also_rises():
-    # the axis-1 slice value peaks near theta = 0.2, dips, then rises again
-    # towards the boundary theta = 1: psi(1) > 0 alone must not pick it
-    system = validate([([37, 200], [4, 5], 0, 0),
-                       ([37, 200], [7, 50], 0, [41, 50]),
-                       ([7, 10], [1, 120], [1, 5], [24, 25])])
+    # psi(1) > 0 alone must not pick the boundary
+    system = validate(BOUNDARY_ALSO_RISES)
     problem = _AxisProblem(system, 1)
     value, w, diag = problem.maximise()
     _, psi_at_one, (boundary_value, _, _) = problem.slice(1.0)
@@ -240,6 +244,69 @@ def test_baranski_branches_on_exceptional_zero():
     assert d2 == pytest.approx(EXC0_D2, abs=1e-9)
     for diag in (boundary, interior):
         assert diag["stationarity_residual"] <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(st.sampled_from((random_gl_system, random_baranski_system)),
+       st.integers(0, 2 ** 32 - 1))
+@example(lambda rng: validate(BOUNDARY_ALSO_RISES), 0)
+@example(lambda rng: build_exceptional(0), 0)     # axis 1 on the boundary
+@example(lambda rng: validate(SLIVER_MAPS), 0)
+def test_lockstep_slices_equal_one_row_slices(draw_system, seed):
+    system = draw_system(np.random.default_rng(seed))
+    for j in long_axes(system):
+        problem = _AxisProblem(system, j)
+        if problem.flat:
+            continue
+        # the grid of maximise: up to theta = 1, or short of theta_hi <= 1
+        up, n = (1.0, 12) if problem.hi > 1.0 else (problem.hi, 13)
+        thetas = np.linspace(problem.lo, up, n + 1)[1:13].tolist()
+        rows = problem.slices(thetas, [0.0] * 12, [0.0] * 12)
+        for theta, psi, (s, _, _), _ in rows:
+            _, one_psi, (one_s, _, _) = problem.slice(theta)
+            assert abs(s - one_s) <= 4 * math.ulp(max(s, one_s))
+            assert (psi > 0.0) == (one_psi > 0.0)
+
+
+def test_iterations_count_gibbs_evaluations(monkeypatch):
+    # one lockstep evaluation of all grid slices counts once
+    calls = []
+    gibbs = _AxisProblem.gibbs
+
+    def counted(self, s, kappa, theta):
+        calls.append(len(s))
+        return gibbs(self, s, kappa, theta)
+
+    monkeypatch.setattr(_AxisProblem, "gibbs", counted)
+    rng = np.random.default_rng(1)
+    counts = []
+    for _ in range(20):
+        calls.clear()
+        optimizer = gl_dims(random_gl_system(rng)).diagnostics["optimizer"]
+        assert optimizer["iterations"] == len(calls)
+        assert 12 in calls
+        counts.append(optimizer["iterations"])
+    assert np.median(counts) <= 30 and max(counts) <= 60
+
+
+def test_one_class_long_axis_takes_the_box_root():
+    # draw 21 is one row of taller-than-wide cells, GL along axis 2: with
+    # one class H(eta w) = 0, and the maximum is the Moran root of the
+    # orthogonal ratios, D_2, attained at w_i = b_i^D_2 with no solve
+    rng = np.random.default_rng(2024)
+    system = [random_baranski_system(rng) for _ in range(22)][21]
+    for each in (system, transpose(system)):
+        j, = long_axes(each)
+        assert len(each.classes(j)) == 1
+        report = gl_dims(each)
+        assert report.dimH == report.dimB == each.analysis.axes[j - 1].box[0]
+        optimizer = report.diagnostics["optimizer"]
+        assert optimizer["iterations"] == 0 and optimizer["psi"] == 0.0
+        assert optimizer["kappa"] == report.dimB
+        assert optimizer["stationarity_residual"] <= 1e-12
+        for w, m in zip(report.argmax_p, each.maps):
+            assert w == pytest.approx(float(m.ratio(3 - j)) ** report.dimB,
+                                      abs=1e-15)
 
 
 def test_gl_dims_needs_gl_class(monkeypatch):
