@@ -21,43 +21,45 @@ For a Baranski system both axes are long and compete.  The axis-j value
 s_j(w) (same shape with j and the orthogonal axis j' swapped in) is
 maximized over P_j = {w : chi_j(w) <= chi_{j'}(w)}, which has interior
 exactly on the long axes, and dimH = max_j d_j.  On the boundary
-chi_j = chi_{j'} the value collapses to H(w)/chi_j(w).  When the maps longer
-along j are square in floats, P_j rounds to the face they span and d_j is
-the flat maximum over it.  Over the long axes, directional totals
-A_j = dimB eta_j(K) + t_j give dimA = max_j A_j (Mackay, 2011, for one long
-axis; Fraser, Trans. AMS 2014, for Baranski carpets), and dimB = max_j D_j,
-where D_j solves sum_i a_{j,i}^{s_j} b_i^{D_j - s_j} = 1 with a the axis-j
-ratios, b the orthogonal ones and s_j = dimB eta_j(K) (Baranski, Adv. Math.
-2007); D_1 is the GatzourasLalley box dimension above.  A short axis is
-left out: on a carpet of tall maps A_1 can exceed dimA.  D_j - s_j, like every
-Moran root and the two-group reduction suprema, is a root that moran's one
-Newton solver finds.
+chi_j = chi_{j'} the value collapses to H(w)/chi_j(w).  Over the long axes,
+directional totals A_j = dimB eta_j(K) + t_j give dimA = max_j A_j (Mackay,
+2011, for one long axis; Fraser, Trans. AMS 2014, for Baranski carpets), and
+dimB = max_j D_j, where D_j solves sum_i a_{j,i}^{s_j} b_i^{D_j - s_j} = 1
+with a the axis-j ratios, b the orthogonal ones and s_j = dimB eta_j(K)
+(Baranski, Adv. Math. 2007); D_1 is the GatzourasLalley box dimension above.
+A short axis is left out: on a carpet of tall maps A_1 can exceed dimA.
+D_j - s_j, like every Moran root and the two-group reduction suprema, is a
+root that moran's one Newton solver finds.
 
-Every Ledrappier-Young maximum, GL or Baranski, interior or boundary, comes
-from one deterministic solver in Gibbs form.  With a_l the axis-j ratio of
-class l, b_i the orthogonal ratio of map i and Z_l(kappa) = sum of b_i^kappa
-over class l, the maximum over the slice chi_j = theta chi_j' (theta <= 1,
-where the value is concave over linear) is attained at
-w_i = q_l b_i^kappa / Z_l(kappa), q_l = a_l^(s - kappa) Z_l(kappa)^theta,
-and its value s is the root of min_kappa Phi(s, kappa; theta) = 0 for the
-jointly convex Phi = log sum_l a_l^(s - kappa) Z_l(kappa)^theta.  Along
-theta the slice value moves at rate psi/chi_j, psi = sum_l q_l log Z_l:
-interior maxima are roots of psi, where kappa is the Dinkelbach ratio of
-the conditional part and q_l ~ a_l^D Z_l(kappa)^theta with D = H(q)/chi_j,
-and theta = 1 is the boundary.
+Every Ledrappier-Young maximum, GL or Baranski, interior or boundary, is
+read off one Gibbs form.  With a_l the axis-j ratio of class l, b_i the
+orthogonal ratio of map i and Z_l(kappa) = sum of b_i^kappa over class l,
+the maximum over the slice chi_j = theta chi_j' (theta <= 1, where the value
+is concave over linear) is attained at w_i = q_l b_i^kappa / Z_l(kappa),
+q_l = a_l^(s - kappa) Z_l(kappa)^theta, and its value s is the root of
+min_kappa Phi(s, kappa; theta) = 0 for the jointly convex Phi = log sum_l
+a_l^(s - kappa) Z_l(kappa)^theta.  Along theta the slice value moves at rate
+psi/chi_j, psi = sum_l q_l log Z_l: interior maxima are roots of psi, and
+theta = 1 is the boundary.  Two maxima are Moran roots, found by float
+tests and taken with no solve:
 
-The solver evaluates Phi and its derivatives on an array of slices, one row
-each, so the _GRID slices that bracket the roots of psi are solved in
-lockstep, one evaluation per step for all rows.  Each row takes Newton steps
-in s (step Phi/chi_j) until the step reaches rounding or stops shrinking;
-before each, Newton in kappa, kept in a sign bracket, runs to rounding, and
-after each, kappa follows its tangent, dkappa = -(dPhi/dkappa + Phi_s,kappa
-ds)/Phi_kappa,kappa, from the same evaluation.  A root of psi is found by
-Newton in theta along the slice solutions, with dpsi/dtheta from the same
-evaluation's second derivatives, each new slice started from the predicted
-(s, kappa); a Newton step that would leave the bracket, or that follows a
-step which did not shrink |psi|, gives way to an Illinois step.  A long axis
-of a GL carpet with one class needs no solve: its maximum is D_j.
+* Flat: every map has one theta, so b_i = a_l^(1/theta) and a_l^(-kappa)
+  Z_l(kappa)^theta = N_l^theta for the N_l maps of class l: s solves
+  sum_l N_l^theta a_l^s = 1 at any kappa (McMullen, Nagoya Math. J. 96,
+  1984), read at 0.  Thetas closer than the _GRID slices resolve count as
+  flat, and so does P_j when the maps longer along j are square in floats,
+  as P_j then rounds to the face they span.
+* Shared exponent: every axis-j class has slice exponent t (one class, one
+  map per class, or identical fibers).  By Gibbs' inequality H(eta_j w) <=
+  s_eta_j chi_j(w) and, class by class, H(w) - H(eta_j w) <= t chi_j'(w),
+  with equality at w_i = a_l^s_eta_j b_i^t (kappa = t, Z_l(t) = 1, psi =
+  0).  So s_j(w) <= s_eta_j + t = D_j, as sum_i a_l^s_eta_j b_i^t = 1 on any
+  axis, and on a GL long axis, where P_j holds every w, D_j is the maximum.
+
+Every other maximum comes from the solver, which evaluates Phi and its
+derivatives on an array of slices, one row each: the _GRID slices that
+bracket the roots of psi take Newton steps in s and kappa in lockstep, and
+each root of psi is found by Newton in theta along the slice solutions.
 ``iterations`` counts evaluations, and more than _MAX_STEPS of them for one
 maximum raise OptimizerFailure.
 
@@ -170,8 +172,6 @@ class _AxisProblem:
         self.log_b = log_b[self.order]
         theta = theta[self.order]
         self.lo, self.hi = float(theta.min()), float(theta.max())
-        # flat: equal thetas, where Phi does not vary in kappa, or thetas
-        # closer than the _GRID slices resolve (they would round onto an end)
         self.flat = self.hi - self.lo <= _GRID * math.ulp(self.hi)
         self.iterations = 0                         # Gibbs evaluations
 
@@ -234,7 +234,7 @@ class _AxisProblem:
             moving = []
             for r in busy:
                 k, g, h = kappa[r], d1[r], d2[r]
-                if not (self.flat or g * g <= _DECREMENT * h):
+                if not g * g <= _DECREMENT * h:
                     lo[r], hi[r] = (lo[r], k) if g > 0.0 else (k, hi[r])
                     new = k - g / h if h > 0.0 else math.nan
                     if not lo[r] < new < hi[r]:
@@ -251,7 +251,7 @@ class _AxisProblem:
                     continue
                 s[r] += step
                 last[r], lo[r], hi[r] = abs(step), -math.inf, math.inf
-                if not self.flat and h > 0.0:
+                if h > 0.0:
                     kappa[r] = k - (g + dsk[r] * step) / h
                 moving.append(r)
             busy = moving
@@ -270,18 +270,13 @@ class _AxisProblem:
         ds = psi / chi
         tk = (qdz * du + q * mean).sum(axis=1)
         dk = np.zeros_like(ds)
-        if not self.flat:
-            np.divide(-(dsk * ds + tk), d2, out=dk, where=d2 > 0.0)
+        np.divide(-(dsk * ds + tk), d2, out=dk, where=d2 > 0.0)
         dpsi = ((qdz * dz).sum(axis=1) + (qdz * self.log_a).sum(axis=1) * ds
                 + tk * dk)
         w = q.take(self.cls, axis=1) * p
         return [(t, f, (a, k, row), slope) for t, f, a, k, row, slope in zip(
             theta[:, 0].tolist(), psi.tolist(), s, kappa, w,
             zip(ds.tolist(), dk.tolist(), dpsi.tolist()))]
-
-    def slice(self, theta, s=0.0, kappa=0.0):
-        """The one-row ``slices``: (theta, psi, (s, kappa, w))."""
-        return self.slices([theta], [s], [kappa])[0][:3]
 
     def maximise(self):
         """(value, w, diagnostics) of the maximum over P_j = {theta <= 1},
@@ -290,8 +285,10 @@ class _AxisProblem:
         theta_hi <= 1); the slice maximum need not be unimodal, so _GRID
         slices bracket roots that are a grid step apart or more.  The
         boundary theta = 1 is a candidate when psi(1) >= 0."""
-        if self.flat:
-            return self._result(*self.slice(self.lo))
+        if self.flat:               # s solves sum_l N_l^lo a_l^s = 1
+            n = np.diff(self.starts, append=len(self.order))
+            pairs = zip((self.lo * np.log(n)).tolist(), self.log_a.tolist())
+            return self.closed(_moran_root([list(pairs)]), 0.0, self.lo)
         up = min(1.0, self.hi)     # theta_hi = 1 is an end, not a boundary
         n = _GRID if self.hi > 1.0 else _GRID + 1
         points = [(self.lo, math.inf, None, None)] + self.slices(
@@ -330,24 +327,31 @@ class _AxisProblem:
                 a, b, side = (a if side > -1 else (ta, fa / 2)), point, -1
         return point
 
-    def moran(self, t):
-        """The maximum when axis j has one class and theta <= 1 throughout:
-        the slice with w_i = b_i^t, kappa = t and psi = 0 for the Moran root
-        t of the b_i."""
-        w = np.exp(t * self.log_b)
-        return self._result(float(self.log_a[0] / (w @ self.log_b)), 0.0,
-                            (t, t, w))
+    def closed(self, s, kappa, theta=None):
+        """A maximum with no solve (see the module docstring): w_i ~
+        a_l^(s - kappa) Z_l(kappa)^(theta - 1) b_i^kappa, psi = sum_l q_l
+        log Z_l; with no theta, kappa is the shared exponent and Z_l = 1."""
+        e, u = kappa * self.log_b, (s - kappa) * self.log_a
+        log_z = np.zeros_like(u)
+        if theta is not None:
+            log_z = np.log(np.add.reduceat(np.exp(e), self.starts))
+            u += (theta - 1.0) * log_z
+        w = np.exp(u[self.cls] + e)
+        w /= w.sum()
+        return self._result(theta, float(np.add.reduceat(w, self.starts)
+                                         @ log_z), (s, kappa, w))
 
     def _result(self, theta, psi, state):
-        """(s, w tuple, read-only diagnostics); the residual is the sup norm
-        of the axis value's gradient in softmax coordinates, projected off
-        the constraint chi_j = chi_j' on the boundary."""
+        """(s, w tuple, read-only diagnostics), theta by default that of w;
+        the residual is the sup norm of the value's softmax gradient,
+        projected off the constraint chi_j = chi_j' on the boundary."""
         s, kappa, w = state
-        boundary = theta == 1.0 and self.lo != self.hi
         log_a = self.log_a[self.cls]
         log_q = np.log(np.add.reduceat(w, self.starts))[self.cls]
         log_p = np.log(w) - log_q
         chi, chi_o = -float(w @ log_a), -float(w @ self.log_b)
+        theta = chi / chi_o if theta is None else theta
+        boundary = theta == 1.0 and self.lo != self.hi
         grad = -((w @ log_q / chi * log_a + 1.0 + log_q) / chi
                  + (w @ log_p / chi_o * self.log_b + log_p) / chi_o)
         tangent = w * (grad - w @ grad)
@@ -400,31 +404,35 @@ class AxisAnalysis:
         return proj, t, proj + t
 
     @cached_property
+    def shared_exponent(self):
+        """The slice exponent of every axis class if they share one."""
+        t = set(self.slice_exponents)
+        return t.pop() if len(t) == 1 else None
+
+    @cached_property
     def box(self):
         """(D_j, |sum_i a_i^{s_j} b_i^{D_j - s_j} - 1|), a and b the axis-j
         and orthogonal ratios: D_j = s_j + t for moran's root t of the
-        weights a_i^{s_j} and ratios b_i."""
+        weights a_i^{s_j} and ratios b_i, or for the shared exponent t,
+        where the sum is sum_l a_l^{s_j} = 1 with no solve."""
         s_j = self.proj[0]
         pairs = [(s_j * math.log(float(m.ratio(self.j))),
                   math.log(float(m.ratio(3 - self.j))))
                  for m in self.system.maps]
-        t = _moran_root([pairs])
+        t = self.shared_exponent
+        if t is None:
+            t = _moran_root([pairs])
         return s_j + t, abs(math.fsum(math.exp(log_w + t * log_b)
                                       for log_w, log_b in pairs) - 1.0)
 
     @cached_property
     def maximum(self):
-        """(d_j, argmax, diagnostics) of the Ledrappier-Young value over P_j;
-        only a long axis has one.  On a GL carpet whose long axis has one
-        class, H(eta_j w) = 0 and s_eta_j = 0, so the value is
-        H(w)/chi_j'(w) with b the orthogonal ratios, and Gibbs' inequality
-        H(w) - t chi_j'(w) <= log sum_i b_i^t = 0 for their Moran root t,
-        with equality at w_i = b_i^t, makes t = D_j the maximum: it is taken
-        with no solve."""
+        """(d_j, argmax, diagnostics) of the Ledrappier-Young value over P_j,
+        on a long axis; a shared exponent on a GL axis makes it D_j."""
         problem = _AxisProblem(self.system, self.j)
-        if (self.system.klass == GATZOURAS_LALLEY
-                and len(self.system.classes(self.j)) == 1):
-            return problem.moran(self.box[0])
+        t = self.shared_exponent
+        if self.system.klass == GATZOURAS_LALLEY and t is not None:
+            return problem.closed(self.box[0], t)
         return problem.maximise()
 
 

@@ -8,6 +8,13 @@ HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 
+# a GL carpet whose axis-1 slice value peaks near theta = 0.2, dips, then
+# rises again towards the boundary theta = 1
+BOUNDARY_ALSO_RISES = [([37, 200], [4, 5], 0, 0),
+                       ([37, 200], [7, 50], 0, [41, 50]),
+                       ([7, 10], [1, 120], [1, 5], [24, 25])]
+
+
 def gl3():
     """Three-map wider-than-tall reference system: two maps in the left
     column, one in the right, ratios 1/2 x 1/4 everywhere."""

@@ -15,6 +15,11 @@ GL3_DIMB = 1.292481250360578          # 1 + log(3/2)/log 4
 # the package's estimate of GL3_DIMB over 2^-4 .. 2^-9, a regression
 GL3_DIMB_ESTIMATE = 1.2919164905291594
 
+# the near-flat carpet NEAR_FLAT_ROWS of test_dimensions.py: three rows of
+# one map each, so dimH = dimB = D_2, the root of 2 (1/10)^s + (1/5)^s = 1
+# (mpmath findroot at 40 digits: 0.53807503982571749638...)
+NEAR_FLAT_ROWS_DIMH = 0.5380750398257175
+
 EXC0_P0 = 0.415037499278844
 EXC0_SUP_D1 = 0.489536321199650       # reduction sup, argmax 0.415974485884
 EXC0_SUP_D2 = 0.529532656220852       # reduction sup, argmax 0.580810911591

@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import carpetdim
-from carpetdim import dimensions
+from carpetdim import dimensions, moran
 from carpetdim.cli import load_config, parse_columns, parse_gamma, run
 from carpetdim.dimensions import _AxisProblem
 from carpetdim.geometry import _grid_count
+from carpets import BOUNDARY_ALSO_RISES
 from oracles.frozen import (EXC0_D2, EXC0_SUP_D1_ROUNDED, EXC0_SUP_D2_ROUNDED,
                             EXC_DIMB, GL3_DIMB, GL3_DIMH, SLIVER_DIMB)
 
@@ -156,15 +157,25 @@ def test_dims_baranski_box_dimension(capsys, monkeypatch):
 
 def test_dims_exits_4_when_a_maximum_runs_out_of_evaluations(capsys,
                                                                monkeypatch):
-    # gl3's one flat slice takes two evaluations (Phi is affine in s there,
-    # so one Newton step lands on the root); exc(1/40) fails in its grid
-    texts = [json.dumps(GL3_CONFIG), example(capsys, monkeypatch, "1/40")]
-    monkeypatch.setattr(dimensions, "_MAX_STEPS", 1)
-    for text in texts:
-        code, envelope, _ = invoke(capsys, monkeypatch, ["dims"], stdin=text)
-        assert code == 4
-        assert envelope["diagnostics"]["error"] == "OptimizerFailure"
-        assert "theta=" in envelope["warnings"][0]
+    # a GL carpet whose slice value also rises towards theta = 1 and
+    # exc(1/40) both fail in their grid; gl3 is flat, so its maximum is a
+    # Moran root, and a Moran root out of steps exits 4 as well
+    texts = [json.dumps({"maps": [dict(zip(("r1", "r2", "d1", "d2"), m))
+                                  for m in BOUNDARY_ALSO_RISES]}),
+             example(capsys, monkeypatch, "1/40")]
+    with monkeypatch.context() as patch:
+        patch.setattr(dimensions, "_MAX_STEPS", 1)
+        for text in texts:
+            code, envelope, _ = invoke(capsys, monkeypatch, ["dims"],
+                                       stdin=text)
+            assert code == 4
+            assert envelope["diagnostics"]["error"] == "OptimizerFailure"
+            assert "theta=" in envelope["warnings"][0]
+    monkeypatch.setattr(moran, "_STEP_CAP", 1)
+    code, envelope, _ = invoke(capsys, monkeypatch, ["dims"],
+                               stdin=json.dumps(GL3_CONFIG))
+    assert code == 4
+    assert envelope["diagnostics"]["error"] == "OptimizerFailure"
 
 
 def test_dims_reduction_needs_the_exact_two_group_shape(capsys, monkeypatch):

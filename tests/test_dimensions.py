@@ -20,10 +20,11 @@ from carpetdim import (DiagonalMap, EventuallyPeriodicWord,
 from carpetdim.dimensions import _AxisProblem
 from carpetdim.pointwise import build_exceptional
 from carpetdim.systems import long_axes
-from carpets import gl2, gl3, mcmullen
+from carpets import BOUNDARY_ALSO_RISES, gl2, gl3, mcmullen
 from oracles.frozen import (EXC0_D1, EXC0_D2, EXC0_P0, EXC0_SUP_D1,
                             EXC0_SUP_D2, EXC40_A1, EXC40_A2, EXC40_D1,
-                            EXC40_D2, GL3_DIMB, GL3_DIMH)
+                            EXC40_D2, GL3_DIMB, GL3_DIMH,
+                            NEAR_FLAT_ROWS_DIMH)
 
 # A 4 x 2 grid carpet with sides from 1/1000 to 199/200.  Its box root D_2
 # is SLIVER_DIMB of tests/oracles/frozen.py; Newton steps from D = s_2 grow
@@ -47,11 +48,13 @@ NEAR_FLAT_MAPS = [
     DiagonalMap(Fraction(1, 10), Fraction(1, 10),
                 Fraction(10 ** 15 + 1, 10 ** 16), Fraction(0))]
 
-# a GL carpet whose axis-1 slice value peaks near theta = 0.2, dips, then
-# rises again towards the boundary theta = 1
-BOUNDARY_ALSO_RISES = [([37, 200], [4, 5], 0, 0),
-                       ([37, 200], [7, 50], 0, [41, 50]),
-                       ([7, 10], [1, 120], [1, 5], [24, 25])]
+# three maps taller than wide by 1/10^15, each alone in its row: GL along
+# axis 2 with thetas spanning 4.4e-15, just above what the grid resolves
+NEAR_FLAT_ROWS = [
+    DiagonalMap(Fraction(10 ** 14 - 1, 10 ** 15), Fraction(1, 10), Fraction(0),
+                Fraction(d, 10)) for d in (0, 1)] + [
+    DiagonalMap(Fraction(1, 5), Fraction(1, 5),
+                Fraction(10 ** 14 - 1, 10 ** 15), Fraction(1, 5))]
 
 
 def random_gl_system(rng):
@@ -71,6 +74,26 @@ def random_gl_system(rng):
         for i in range(n):
             maps.append(DiagonalMap(float(widths[col]), float(heights[i]),
                                     float(x[col]), float(y[i])))
+    system = validate(maps)
+    assert system.klass == "GatzourasLalley"
+    return system
+
+
+def shared_exponent_gl_system(rng, kind):
+    """Random wider-than-tall system whose columns share one fiber exponent:
+    "one column", "one map per column" or "identical fibers"."""
+    k = 1 if kind == "one column" else int(rng.integers(2, 5))
+    n = 1 if kind == "one map per column" else int(rng.integers(2, 4))
+    widths = rng.uniform(0.1, 0.9 / k, size=k)
+    x = np.concatenate([[0.0], np.cumsum(widths)[:-1]])
+    fiber = rng.uniform(0.02, min(0.95 * widths.min(), 0.9 / n), size=n)
+    maps = []
+    for col in range(k):
+        if kind == "one map per column":
+            fiber = rng.uniform(0.02, 0.95 * widths[col], size=1)
+        y = np.concatenate([[0.0], np.cumsum(fiber)[:-1]])
+        maps += [DiagonalMap(float(widths[col]), float(h), float(x[col]),
+                             float(v)) for h, v in zip(fiber, y)]
     system = validate(maps)
     assert system.klass == "GatzourasLalley"
     return system
@@ -219,7 +242,8 @@ def test_axis_maximum_inside_when_the_boundary_also_rises():
     system = validate(BOUNDARY_ALSO_RISES)
     problem = _AxisProblem(system, 1)
     value, w, diag = problem.maximise()
-    _, psi_at_one, (boundary_value, _, _) = problem.slice(1.0)
+    (_, psi_at_one, (boundary_value, _, _), _), = problem.slices(
+        [1.0], [0.0], [0.0])
     assert diag["boundary"] is False
     assert psi_at_one > 0.0 and value > boundary_value + 0.1
     assert axis_value(system, w)[0] == pytest.approx(value, abs=1e-12)
@@ -263,13 +287,15 @@ def test_lockstep_slices_equal_one_row_slices(draw_system, seed):
         thetas = np.linspace(problem.lo, up, n + 1)[1:13].tolist()
         rows = problem.slices(thetas, [0.0] * 12, [0.0] * 12)
         for theta, psi, (s, _, _), _ in rows:
-            _, one_psi, (one_s, _, _) = problem.slice(theta)
+            (_, one_psi, (one_s, _, _), _), = problem.slices(
+                [theta], [0.0], [0.0])
             assert abs(s - one_s) <= 4 * math.ulp(max(s, one_s))
             assert (psi > 0.0) == (one_psi > 0.0)
 
 
 def test_iterations_count_gibbs_evaluations(monkeypatch):
-    # one lockstep evaluation of all grid slices counts once
+    # one lockstep evaluation of all grid slices counts once; draws with a
+    # shared fiber exponent (draw 13: one map per column) take no solve
     calls = []
     gibbs = _AxisProblem.gibbs
 
@@ -284,8 +310,10 @@ def test_iterations_count_gibbs_evaluations(monkeypatch):
         calls.clear()
         optimizer = gl_dims(random_gl_system(rng)).diagnostics["optimizer"]
         assert optimizer["iterations"] == len(calls)
-        assert 12 in calls
-        counts.append(optimizer["iterations"])
+        if calls:
+            assert 12 in calls
+            counts.append(optimizer["iterations"])
+    assert len(counts) == 19
     assert np.median(counts) <= 30 and max(counts) <= 60
 
 
@@ -307,6 +335,61 @@ def test_one_class_long_axis_takes_the_box_root():
         for w, m in zip(report.argmax_p, each.maps):
             assert w == pytest.approx(float(m.ratio(3 - j)) ** report.dimB,
                                       abs=1e-15)
+
+
+@st.composite
+def mcmullen_grids(draw):
+    """(maps, p, q, counts): cells of a grid of p columns and q > p rows,
+    mirrored in x = y or not, with counts the cells per column."""
+    p = draw(st.integers(2, 5))
+    q = draw(st.integers(p + 1, 9))
+    cells = draw(st.sets(st.tuples(st.integers(0, p - 1),
+                                   st.integers(0, q - 1)), min_size=2))
+    maps = [DiagonalMap(Fraction(1, p), Fraction(1, q), Fraction(c, p),
+                        Fraction(r, q)) for c, r in sorted(cells)]
+    if draw(st.booleans()):
+        maps = [DiagonalMap(m.r2, m.r1, m.d2, m.d1) for m in maps]
+    counts = [sum(c == col for c, _ in cells) for col in range(p)]
+    return maps, p, q, [n for n in counts if n]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(mcmullen_grids())
+def test_flat_maxima_are_mcmullen_roots(grid):
+    # every map has theta = log p / log q: the maximum is the root of
+    # sum_l N_l^theta p^-s = 1 (McMullen 1984), taken with no solve
+    maps, p, q, counts = grid
+    report = gl_dims(validate(maps))
+    theta = math.log(p) / math.log(q)
+    closed = math.log(math.fsum(n ** theta for n in counts)) / math.log(p)
+    assert report.dimH == pytest.approx(closed, abs=1e-14)
+    assert report.diagnostics["optimizer"]["iterations"] == 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.sampled_from([functools.partial(shared_exponent_gl_system, kind=k)
+                        for k in ("one column", "one map per column",
+                                  "identical fibers")]),
+       st.integers(0, 2 ** 32 - 1))
+@example(lambda rng: validate(NEAR_FLAT_ROWS), 0)
+def test_shared_fiber_exponent_makes_the_gl_dimensions_equal(draw_system,
+                                                             seed):
+    # H(eta w) <= s_eta chi_j(w) and H(w) - H(eta w) <= t chi_j'(w) by
+    # Gibbs' inequality, with equality at w_i = a_l^s_eta b_i^t: the
+    # maximum is D_j = s_eta + t = dimA = dimL, with no solve
+    system = draw_system(np.random.default_rng(seed))
+    for each in (system, transpose(system)):
+        report = gl_dims(each)
+        assert report.dimL == report.dimH == report.dimB == report.dimA
+        optimizer = report.diagnostics["optimizer"]
+        assert optimizer["iterations"] == 0 and optimizer["psi"] == 0.0
+        assert optimizer["stationarity_residual"] <= 1e-12
+
+
+def test_near_flat_rows_take_the_box_root():
+    report = gl_dims(validate(NEAR_FLAT_ROWS))
+    assert report.dimH == report.dimB == NEAR_FLAT_ROWS_DIMH
+    assert report.diagnostics["optimizer"]["iterations"] == 0
 
 
 def test_gl_dims_needs_gl_class(monkeypatch):

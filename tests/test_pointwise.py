@@ -166,7 +166,7 @@ def test_analysis_is_kept_per_system_object():
     first.diagnostics.clear()
     again = gl_dims(system)
     assert len(again.diagnostics["slice_exponents"]) == 2
-    assert again.diagnostics["optimizer"]["iterations"] > 0
+    assert again.diagnostics["optimizer"]["iterations"] == 0     # flat
     assert again == gl_dims(gl3())
     copied = pickle.loads(pickle.dumps(system))
     assert copied == system and "analysis" not in vars(copied)
