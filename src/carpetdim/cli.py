@@ -120,30 +120,25 @@ def _read_text(path):
         return handle.read()
 
 
-def _jsonable(value):
-    """Recursively coerce to plain JSON types (numpy scalars, Fractions,
-    tuples) so the envelope always serializes."""
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+def _encode(value):
+    """``json.dumps`` default for what json cannot write itself: a Fraction
+    as [num, den], numpy scalars and arrays as Python values."""
     if isinstance(value, Fraction):
         return [value.numerator, value.denominator]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError("%s is not JSON serializable" % type(value).__name__)
 
 
 def _digest(obj) -> str:
-    blob = json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=_encode)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _emit(envelope) -> None:
-    sys.stdout.write(json.dumps(_jsonable(envelope), sort_keys=True,
-                                indent=2))
+    sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2,
+                                default=_encode))
     sys.stdout.write("\n")
 
 

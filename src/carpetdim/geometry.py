@@ -213,11 +213,6 @@ def _near(cx, cy, R):
     return keep
 
 
-def _code_span(span):
-    """``span`` when cell keys of that span fit an int64 code, else None."""
-    return span if span < 2 ** 31 else None
-
-
 def _cell_keys(ix, iy, span, off):
     """A sortable key per grid cell (whole-number float indices): the int64
     code off + ix * span + iy, one-to-one when span counts the indices and
@@ -385,20 +380,16 @@ def _ball_grid_count(system, gamma, R, s):
     Cylinders are refined until both sides fit in one cell, then the cell
     under the rectangle centre is marked; that keeps the count free of the
     cylinder-side snapping that inflates the symbolic square cover.  Cells
-    take ``_ladder_count``'s keys, but centres are not clamped to the top
-    cell, so the span reaches up to max(1, p) over the maps' fixed points p.
+    take ``_cell_keys``'s exact complex keys ix + i*iy, so centres need no
+    bounds and are not clamped to the top cell.
     """
-    floor, high = _fixed_range(system)
-    low = _cell_range(s, floor)[0]
-    span = math.floor(high / s) + 1 - low
-    cells = [np.empty(0, dtype=np.int64)]
+    cells = [np.empty(0, dtype=complex)]
     for x0, y0, w, h in _refine(_root(), _map_steps(system.maps),
                                 lambda x0, y0, w, h, n: (w <= s) & (h <= s),
                                 _near(*_point_at(system, gamma), R)):
         cells.append(_distinct(_cell_keys(np.trunc((x0 + 0.5 * w) / s),
                                           np.trunc((y0 + 0.5 * h) / s),
-                                          _code_span(span),
-                                          -low * (span + 1))))
+                                          None, None)))
     return int(_distinct(np.concatenate(cells)).size)
 
 
@@ -569,7 +560,7 @@ def _ladder_count(system, scales, rates):
     floor = _fixed_range(system)[0]
     low, span = zip(*(_cell_range(s, floor) for s in scales))
     low = np.array(low, dtype=float)
-    if _code_span(max(span)):   # int64 codes, each scale's after coarser ones
+    if max(span) < 2 ** 31:     # int64 codes, each scale's after coarser ones
         span = np.array(span, dtype=np.int64)
         area = span * span
         off = np.cumsum(area) - area - low.astype(np.int64) * (span + 1)
@@ -673,10 +664,11 @@ def scale_count_table(system, ks):
     """(scale, grid count) rows for the dyadic scales 2^-k, k in ks, in
     the order given; the distinct scales are counted together, once.
 
-    Every exponent is checked before any scale is counted."""
+    Every exponent is checked before any scale is counted: it must be an
+    integer from 1 to 1022, so that 2^-k is a normal float."""
     ks = list(ks)
-    if any(not float(k).is_integer() or k < 1 for k in ks):
-        raise RangeError("scale exponents must be integers >= 1")
+    if any(not 1 <= k <= 1022 or not float(k).is_integer() for k in ks):
+        raise RangeError("scale exponents must be integers from 1 to 1022")
     scales = [2.0 ** -int(k) for k in ks]
     return list(zip(scales, _grid_counts(system, scales)))
 

@@ -24,8 +24,8 @@ from .dimensions import baranski_dims, gl_dims  # noqa: F401
 from .errors import InvalidSystem, RangeError, Unsupported
 from .moran import ColumnSequence, nonauto_assouad
 from .systems import (BARANSKI, GATZOURAS_LALLEY, CarpetSystem, DiagonalMap,
-                      EventuallyPeriodicWord, classify_word, long_axes,
-                      validate)
+                      EventuallyPeriodicWord, as_number, classify_word,
+                      long_axes, validate)
 
 
 @dataclass(frozen=True)
@@ -172,12 +172,17 @@ def build_exceptional(delta):
     system is strongly separated on both axes.
 
     ``delta`` may be an int, Fraction, or decimal/fraction string (kept
-    exact), or a float (inexact).  Out-of-range values raise InvalidSystem.
+    exact), or a float (inexact).  Strings that ``Fraction`` cannot read,
+    other values that ``as_number`` rejects (booleans, NaN) and values
+    outside the range raise InvalidSystem.
     """
     if isinstance(delta, str):
-        delta = Fraction(delta)
-    elif isinstance(delta, int):
-        delta = Fraction(delta)
+        try:
+            delta = Fraction(delta)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidSystem("delta %r is not a number" % delta) from exc
+    else:
+        delta = as_number(delta)
     if not 0 <= delta < Fraction(1, 6):
         raise InvalidSystem("delta %r outside [0, 1/6)" % (delta,))
 

@@ -52,19 +52,29 @@ DIAGONAL_ONLY = "DiagonalOnly"
 
 def as_number(value):
     """Normalize a config scalar: int -> Fraction, [num, den] -> Fraction,
-    Fraction stays, float stays float (inexact)."""
-    if isinstance(value, Fraction):
-        return value
+    Fraction stays, float stays float (inexact).
+
+    This is the one gate for every number a command reads: booleans (also
+    inside a [num, den] pair), a zero denominator, and any value whose
+    float is not finite -- NaN, infinities, and ints or rationals too large
+    for a float -- raise InvalidSystem."""
     if isinstance(value, bool):
         raise InvalidSystem("boolean is not a number: %r" % value)
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return value
-    if isinstance(value, (list, tuple)) and len(value) == 2 \
-            and all(isinstance(v, int) for v in value):
-        return Fraction(value[0], value[1])
-    raise InvalidSystem("cannot read number from %r" % (value,))
+        number = Fraction(value)
+    elif isinstance(value, (float, Fraction)):
+        number = value
+    elif isinstance(value, (list, tuple)) and len(value) == 2 \
+            and all(type(v) is int for v in value) and value[1] != 0:
+        number = Fraction(value[0], value[1])
+    else:
+        raise InvalidSystem("cannot read number from %r" % (value,))
+    try:
+        if math.isfinite(number):
+            return number
+    except OverflowError:       # an int or rational beyond the float range
+        pass
+    raise InvalidSystem("%r is not a finite number" % (value,))
 
 
 @dataclass(frozen=True)
@@ -209,8 +219,8 @@ def validate(maps) -> CarpetSystem:
     """Build a CarpetSystem from an iterable of DiagonalMap (or 4-tuples),
     every entry normalised by ``as_number``.
 
-    Raises InvalidSystem for fewer than two maps, any entry that is not a
-    finite number, or any ratio outside (0,1).
+    Raises InvalidSystem for fewer than two maps, any entry ``as_number``
+    rejects, or any ratio outside (0,1).
     Overlapping images or missing alignment only demote the class to
     DiagonalOnly.  Images extending outside the unit square produce a warning,
     not an error.
@@ -223,9 +233,6 @@ def validate(maps) -> CarpetSystem:
     if len(norm) < 2:
         raise InvalidSystem("need at least two maps, got %d" % len(norm))
     for m in norm:
-        if not all(math.isfinite(v) for v in (m.r1, m.r2, m.d1, m.d2)):
-            raise InvalidSystem("map %r has an entry that is not a finite "
-                                "number" % (m,))
         for r in (m.r1, m.r2):
             if not 0 < float(r) < 1:
                 raise InvalidSystem("ratio %r outside (0, 1)" % (r,))
@@ -311,7 +318,7 @@ class EventuallyPeriodicWord:
         if not self.period:
             raise InvalidSystem("word needs a non-empty period")
         for i in self.preperiod + self.period:
-            if not isinstance(i, int) or i < 0:
+            if type(i) is not int or i < 0:
                 raise InvalidSystem("bad letter %r" % (i,))
 
     def letter(self, n: int) -> int:

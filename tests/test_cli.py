@@ -1,5 +1,6 @@
 """Command-line layer: envelopes, exit codes, chaining, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -247,6 +248,40 @@ def test_dims_byte_identical_between_runs(tmp_path, capsys, monkeypatch):
     assert first == second
 
 
+def test_envelope_text_is_frozen(capsys, monkeypatch):
+    """Envelopes of strings, ints, bools and [num, den] pairs print the same
+    bytes on every supported Python."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(GL3_CONFIG)))
+    run(["validate"])
+    assert capsys.readouterr().out == textwrap.dedent("""\
+        {
+          "command": "validate",
+          "diagnostics": {
+            "exact_input": true,
+            "klass": "GatzourasLalley",
+            "seed": 0
+          },
+          "input_digest": "6c2fe455a81beeebaeb4124626e2903b4b7b6b14e72870fff04a96de5d5e89e7",
+          "results": {
+            "columns": 2,
+            "eta1_ssc": false,
+            "eta2_ssc": true,
+            "exact": true,
+            "klass": "GatzourasLalley",
+            "map_count": 3,
+            "rows": 2
+          },
+          "warnings": []
+        }
+        """)
+    # the 231 lines of the example system, by their sha256
+    run(["example-baranski", "--delta", "1/40"])
+    out = capsys.readouterr().out
+    assert out.count("\n") == 231
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "0d97a615f609ea3ed3cac1d92fb29dee2e3c6cae2a24b4b230bee7eccfd2f399")
+
+
 def test_dims_many_thin_cells_exits_zero(tmp_path, capsys, monkeypatch):
     maps = [{"r1": [9, 20], "r2": [1, 50], "d1": 0, "d2": [j, 50]}
             for j in range(0, 50, 2)]
@@ -406,13 +441,38 @@ def test_exit_code_unsupported(tmp_path, capsys, monkeypatch):
 
 
 def test_non_finite_config_entries_are_invalid(capsys, monkeypatch):
-    # json.loads reads NaN and Infinity; neither is a valid offset
-    for bad in ("NaN", "Infinity"):
+    # json.loads reads NaN and Infinity; neither is a valid offset, nor is a
+    # zero denominator, a rational too large for a float, or a boolean
+    for bad in ("NaN", "Infinity", "[1, 0]", "[%d, 1]" % 10 ** 400,
+                "[true, 2]"):
         text = json.dumps(GL3_CONFIG).replace('"d1": 0', '"d1": ' + bad, 1)
         for argv in (["validate"], ["boxcount", "--scales", "4,5"]):
             code, envelope, _ = invoke(capsys, monkeypatch, argv, stdin=text)
             assert code == 2
             assert envelope["diagnostics"]["error"] == "InvalidSystem"
+
+
+@pytest.mark.parametrize("argv, columns, error", [
+    (["fiber", "--columns", "cols.json"], {"period": [[[1, 0]]]},
+     "InvalidSystem"),
+    (["example-baranski", "--delta", "1/0"], None, "InvalidSystem"),
+    (["boxcount", "--scales", "1024"], None, "RangeError"),
+    (["boxcount", "--scales", "1074"], None, "RangeError"),
+    (["boxcount", "--scales", "1100"], None, "RangeError"),
+    (["boxcount", "--scales", "99999999999999999999999"], None, "RangeError"),
+])
+def test_unreadable_numbers_exit_2_with_one_envelope(argv, columns, error,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if columns is not None:
+        (tmp_path / "cols.json").write_text(json.dumps(columns))
+    code, envelope, err = invoke(capsys, monkeypatch, argv,
+                                 stdin=json.dumps(GL3_CONFIG))
+    assert code == 2
+    assert set(envelope) == ENVELOPE_KEYS and envelope["results"] == {}
+    assert envelope["diagnostics"]["error"] == error
+    assert "Traceback" not in err
 
 
 def test_levelset_rejects_non_finite_alpha(tmp_path, capsys, monkeypatch):

@@ -79,6 +79,9 @@ def test_exceptional_delta_range():
         build_exceptional(Fraction(1, 6))
     with pytest.raises(InvalidSystem):
         build_exceptional(-0.01)
+    for bad in ("1/0", "abc", False, math.nan):
+        with pytest.raises(InvalidSystem):
+            build_exceptional(bad)
 
 
 def test_validate_rejects_degenerate_input():
@@ -91,7 +94,8 @@ def test_validate_rejects_degenerate_input():
 
 
 def test_validate_rejects_non_finite_entries():
-    for bad in (math.nan, math.inf, -math.inf):
+    for bad in (math.nan, math.inf, -math.inf, 10 ** 400,
+                Fraction(-10 ** 400, 3)):
         with pytest.raises(InvalidSystem, match="finite"):
             validate([DiagonalMap(0.5, 0.25, bad, 0.0),
                       DiagonalMap(0.5, 0.25, 0.5, 0.0)])
@@ -232,6 +236,9 @@ def test_word_prefix_and_letters():
     assert word.letter(4) == 2
     with pytest.raises(InvalidSystem):
         EventuallyPeriodicWord((0,), ())
+    for preperiod, period in (((), (True, False)), ((False,), (1,))):
+        with pytest.raises(InvalidSystem, match="letter"):
+            EventuallyPeriodicWord(preperiod, period)
 
 
 def test_config_round_trip_preserves_exactness():
