@@ -3,14 +3,13 @@
 from .dimensions import (BaranskiDirectional, DimensionReport,
                          baranski_1d_reduction, baranski_dims, entropy_stats,
                          gl_dims, reduction_suprema)
-from .errors import (CarpetError, EmptyInput, InvalidPacking, InvalidSystem,
-                     OptimizerFailure, RangeError, Unsupported, WrongClass,
-                     WrongShape)
+from .errors import (CarpetError, EmptyInput, InvalidSystem, OptimizerFailure,
+                     RangeError, Unsupported, WrongClass, WrongShape)
 from .geometry import (ApproxSquare, PointCloud, Rect, approximate_square,
                        attractor_cloud, box_count_ball, box_dimension_estimate,
                        cylinders_to_scale, directed_hausdorff,
                        fixture_fast_decay, fixture_progressions,
-                       hausdorff_distance, packing_check, projection_cloud,
+                       hausdorff_distance, projection_cloud,
                        pseudo_cylinder_count, psi_estimate, render_svg,
                        scale_count_table, slice_cloud, tangent_cloud,
                        write_scale_counts_csv)

@@ -18,10 +18,11 @@ identical inputs and seeds produce byte-identical output.
 
 Exit codes: 0 success; 2 invalid input or parameters; 3 structurally valid
 but unsupported input (wrong class, missing separation, center coded by a
-word with no dominant contraction axis); 4 solver failure or internal
-error.  Failures still emit an envelope (empty results, the error class in
-diagnostics) and put a human-readable message on stderr; that includes a
-command line argparse rejects (``UsageError``, exit 2), but not ``--help``.
+word with no dominant contraction axis); 4 solver failure.  ``_EXIT_CODES``
+gives each error class its code.  Failures still emit an envelope (empty
+results, the error class in diagnostics) and put a human-readable message
+on stderr; that includes a command line argparse rejects (``UsageError``,
+exit 2), but not ``--help``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dimensions import baranski_dims, gl_dims, reduction_suprema
-from .errors import (CarpetError, EmptyInput, InvalidPacking, InvalidSystem,
+from .errors import (CarpetError, EmptyInput, InvalidSystem, OptimizerFailure,
                      RangeError, Unsupported, WrongClass, WrongShape)
 from .geometry import (box_dimension_estimate, render_svg, scale_count_table,
                        write_scale_counts_csv)
@@ -49,8 +50,11 @@ from .pointwise import (build_exceptional, level_set_dim,
 from .systems import (BARANSKI, GATZOURAS_LALLEY, EventuallyPeriodicWord,
                       as_number, system_from_config, system_to_config)
 
-_VALIDATION = (InvalidSystem, EmptyInput, RangeError, InvalidPacking)
-_UNSUPPORTED = (Unsupported, WrongClass, WrongShape)
+# the exit code of every CarpetError class: 2 invalid input, 3 valid input
+# outside a command's scope, 4 a solver failure
+_EXIT_CODES = {InvalidSystem: 2, EmptyInput: 2, RangeError: 2,
+               WrongClass: 3, WrongShape: 3, Unsupported: 3,
+               OptimizerFailure: 4}
 
 _GAMMA_RE = re.compile(
     r"^\s*([0-9]+(?:\s*,\s*[0-9]+)*)?\s*:\s*\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)\s*$")
@@ -377,15 +381,11 @@ def run(argv=None) -> int:
             diagnostics["exact_input"] = system.exact
             results, warnings, extra = _HANDLERS[args.command](system, args)
         diagnostics.update(extra)
-    except _UNSUPPORTED as exc:
-        return _fail(args.command, digest, diagnostics, exc, 3)
-    except _VALIDATION as exc:
-        return _fail(args.command, digest, diagnostics, exc, 2)
+    except CarpetError as exc:
+        return _fail(args.command, digest, diagnostics, exc,
+                     _EXIT_CODES[type(exc)])
     except (ValueError, IndexError, OSError) as exc:
         return _fail(args.command, digest, diagnostics, exc, 2)
-    except CarpetError as exc:
-        # OptimizerFailure and anything else computational
-        return _fail(args.command, digest, diagnostics, exc, 4)
 
     _emit({"command": args.command, "input_digest": digest,
            "results": results, "diagnostics": diagnostics,

@@ -35,9 +35,5 @@ class RangeError(CarpetError):
     """A numeric argument falls outside its documented interval."""
 
 
-class InvalidPacking(CarpetError):
-    """A claimed disc packing overlaps itself or leaves the reference ball."""
-
-
 class OptimizerFailure(CarpetError):
     """A solver iteration missed its tolerance within its step cap."""

@@ -1,14 +1,14 @@
 """Symbolic covers, empirical box counts, and point-cloud geometry.
 
 Cylinder rectangles, approximate squares, pseudo-cylinder square counts
-along either axis, ball-localized box counting, a packing-sum falsification
-harness, Hausdorff distances between finite clouds, tangent-set
-approximations, and two one-dimensional fixtures.  All counting is symbolic
-over words; nothing is rasterized.  One rule, ``_extensions``, makes the
-approximate squares of ``approximate_square`` (along gamma),
-``box_count_ball``, ``pseudo_cylinder_count`` and ``tangent_cloud``: a
-cylinder with w >= h grows by projected columns, otherwise by projected
-rows, until that side is first at most the other.
+along either axis, ball-localized box counting, Hausdorff distances between
+finite clouds, tangent-set approximations, and two one-dimensional
+fixtures.  All counting is symbolic over words; nothing is rasterized.  One
+rule, ``_extensions``, makes the approximate squares of
+``approximate_square`` (along gamma), ``box_count_ball``,
+``pseudo_cylinder_count`` and ``tangent_cloud``: a cylinder with w >= h
+grows by projected columns, otherwise by projected rows, until that side is
+first at most the other.
 
 Every cover comes from one engine, ``_refine``, which refines numpy blocks
 of cylinder rectangles until a stop rule holds; each caller supplies only
@@ -30,8 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (EmptyInput, InvalidPacking, RangeError, WrongClass,
-                     WrongShape)
+from .errors import EmptyInput, RangeError, WrongClass, WrongShape
 from .systems import (BARANSKI, GATZOURAS_LALLEY, EventuallyPeriodicWord,
                       column_word, long_axes)
 
@@ -671,58 +670,6 @@ def scale_count_table(system, ks):
         raise RangeError("scale exponents must be integers from 1 to 1022")
     scales = [2.0 ** -int(k) for k in ks]
     return list(zip(scales, _grid_counts(system, scales)))
-
-
-# ------------------------------------------------------ packing harness
-
-def _packing_constant(system):
-    """Comparability constant, kept at ``system.packing_constant``: the
-    largest packing sum over a fixed family of cylinder packings at the
-    exponent dimA + 0.01, padded by 5 percent."""
-    alpha = system.analysis.dimA + 0.01
-    maps = _map_steps(system.maps)
-    worst = 1.0
-    for depth in (1, 2, 3):
-        total = 0.0
-        for _, _, w, h in _refine(_root(), maps,
-                                  lambda x0, y0, w, h, n: n == depth):
-            for side in np.minimum(w, h).tolist():
-                total += (0.49 * side) ** alpha
-        worst = max(worst, total)
-    return 1.05 * worst
-
-
-def packing_check(system, ball, packing, alpha) -> bool:
-    """Moran-sum test for a disc packing inside a reference ball.
-
-    ``ball`` is (gamma, R) and ``packing`` a list of (cylinder word,
-    radius); each disc sits at its cylinder's rectangle center.  After
-    verifying that the discs are pairwise disjoint and contained in the
-    ball, the call reports whether sum radius^alpha <= C * R^alpha with the
-    per-system constant C.  For alpha above the Assouad dimension this
-    must hold for every valid packing.
-    """
-    gamma, R = ball
-    R = float(R)
-    if not 0.0 < R <= 1.0:
-        raise RangeError("ball radius %g outside (0, 1]" % R)
-    cx, cy = _point_at(system, gamma)
-    discs = []
-    for word, radius in packing:
-        radius = float(radius)
-        if radius <= 0.0:
-            raise InvalidPacking("radius must be positive")
-        rect = Rect(*_compose(system.maps[i] for i in word))
-        discs.append((*rect.center, radius))
-    for t, (px, py, pr) in enumerate(discs):
-        if math.hypot(px - cx, py - cy) + pr > R * (1.0 + 1e-9):
-            raise InvalidPacking("disc %d leaves the reference ball" % t)
-        for s in range(t):
-            qx, qy, qr = discs[s]
-            if math.hypot(px - qx, py - qy) < (pr + qr) * (1.0 - 1e-9):
-                raise InvalidPacking("discs %d and %d overlap" % (s, t))
-    total = math.fsum(pr ** float(alpha) for _, _, pr in discs)
-    return total <= system.packing_constant * R ** float(alpha)
 
 
 # ------------------------------------------------------ clouds and tangents

@@ -134,12 +134,6 @@ class CarpetSystem:
         return Analysis(self)
 
     @cached_property
-    def packing_constant(self):
-        """The constant of geometry.packing_check, made on first use."""
-        from .geometry import _packing_constant
-        return _packing_constant(self)
-
-    @cached_property
     def _class_indices(self):
         return tuple(MappingProxyType({i: cid for cid, cls in
                                        enumerate(self.classes(axis))
@@ -149,7 +143,7 @@ class CarpetSystem:
     def __getstate__(self):
         # cached values are remade on first use, so copies leave them behind
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("analysis", "packing_constant", "_class_indices")}
+                if k not in ("analysis", "_class_indices")}
 
     def aligned(self, axis: int) -> bool:
         """Distinct axis classes have disjoint open intervals."""

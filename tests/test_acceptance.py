@@ -20,10 +20,9 @@ from carpetdim import (ColumnSequence, PointCloud, baranski_dims,
                        projection_cloud, psi_estimate, reduction_suprema,
                        slice_cloud, solve_moran, tangent_cloud, theta_window,
                        window_sup)
-from carpets import gl2, gl3, word
+from carpets import (_homogeneous_window, _random_window, gl2, gl3,
+                     random_gl_system, word)
 from oracles.frozen import EXC0_SUP_D1_ROUNDED, EXC0_SUP_D2_ROUNDED
-from test_dimensions import random_gl_system
-from test_moran import _homogeneous_window, _random_window
 
 
 def verdict(num, label, checks):

@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 
 import carpetdim
-from carpetdim import dimensions, moran
+from carpetdim import cli, dimensions, errors, moran
 from carpetdim.cli import load_config, parse_columns, parse_gamma, run
 from carpetdim.dimensions import _AxisProblem
 from carpetdim.geometry import _grid_count
-from carpets import BOUNDARY_ALSO_RISES
+from carpets import BOUNDARY_ALSO_RISES, SLIVER_CONFIG
 from oracles.frozen import (EXC0_D2, EXC0_SUP_D1_ROUNDED, EXC0_SUP_D2_ROUNDED,
                             EXC_DIMB, GL3_DIMB, GL3_DIMH, SLIVER_DIMB)
 
@@ -32,14 +32,6 @@ SQUARE4_CONFIG = {"maps": [
     {"r1": [1, 3], "r2": [1, 3], "d1": [2, 3], "d2": 0},
     {"r1": [1, 3], "r2": [1, 3], "d1": 0, "d2": [2, 3]},
     {"r1": [1, 3], "r2": [1, 3], "d1": [2, 3], "d2": [2, 3]},
-]}
-
-# A 4 x 2 grid carpet with sides from 1/1000 to 199/200; dimB = SLIVER_DIMB.
-SLIVER_CONFIG = {"maps": [
-    {"r1": [9, 25], "r2": [199, 200], "d1": [0, 1], "d2": [0, 1]},
-    {"r1": [1, 1000], "r2": [199, 200], "d1": [9, 25], "d2": [0, 1]},
-    {"r1": [1, 200], "r2": [1, 250], "d1": [361, 1000], "d2": [199, 200]},
-    {"r1": [317, 500], "r2": [199, 200], "d1": [183, 500], "d2": [0, 1]},
 ]}
 
 ENVELOPE_KEYS = {"command", "input_digest", "results", "diagnostics",
@@ -438,6 +430,30 @@ def test_exit_code_unsupported(tmp_path, capsys, monkeypatch):
         ["--input", path, "pointwise", "--gamma", ":(0)"])
     assert code == 3
     assert envelope["diagnostics"]["error"] == "Unsupported"
+
+
+# the exit code of each error class, as the README documents it
+DOCUMENTED_EXIT_CODES = {"InvalidSystem": 2, "EmptyInput": 2, "RangeError": 2,
+                         "WrongClass": 3, "WrongShape": 3, "Unsupported": 3,
+                         "OptimizerFailure": 4}
+
+
+def test_every_error_class_exits_with_its_documented_code(capsys,
+                                                          monkeypatch):
+    classes = {cls.__name__: cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.CarpetError)
+               and cls is not errors.CarpetError}
+    assert set(classes) == set(DOCUMENTED_EXIT_CODES)
+    for name, cls in classes.items():
+        def handler(system, args, cls=cls):
+            raise cls("raised by a test handler")
+
+        monkeypatch.setitem(cli._HANDLERS, "validate", handler)
+        code, envelope, _ = invoke(capsys, monkeypatch, ["validate"],
+                                   stdin=json.dumps(GL3_CONFIG))
+        assert code == DOCUMENTED_EXIT_CODES[name]
+        assert envelope["results"] == {}
+        assert envelope["diagnostics"]["error"] == name
 
 
 def test_non_finite_config_entries_are_invalid(capsys, monkeypatch):

@@ -20,24 +20,12 @@ from carpetdim import (DiagonalMap, EventuallyPeriodicWord,
 from carpetdim.dimensions import _AxisProblem
 from carpetdim.pointwise import build_exceptional
 from carpetdim.systems import long_axes
-from carpets import BOUNDARY_ALSO_RISES, gl2, gl3, mcmullen
+from carpets import (BOUNDARY_ALSO_RISES, SLIVER_MAPS, gl2, gl3, mcmullen,
+                     random_baranski_system, random_gl_system, transpose)
 from oracles.frozen import (EXC0_D1, EXC0_D2, EXC0_P0, EXC0_SUP_D1,
                             EXC0_SUP_D2, EXC40_A1, EXC40_A2, EXC40_D1,
                             EXC40_D2, GL3_DIMB, GL3_DIMH,
                             NEAR_FLAT_ROWS_DIMH)
-
-# A 4 x 2 grid carpet with sides from 1/1000 to 199/200.  Its box root D_2
-# is SLIVER_DIMB of tests/oracles/frozen.py; Newton steps from D = s_2 grow
-# before they shrink on it.
-SLIVER_MAPS = [
-    DiagonalMap(Fraction(9, 25), Fraction(199, 200), Fraction(0), Fraction(0)),
-    DiagonalMap(Fraction(1, 1000), Fraction(199, 200), Fraction(9, 25),
-                Fraction(0)),
-    DiagonalMap(Fraction(1, 200), Fraction(1, 250), Fraction(361, 1000),
-                Fraction(199, 200)),
-    DiagonalMap(Fraction(317, 500), Fraction(199, 200), Fraction(183, 500),
-                Fraction(0)),
-]
 
 # three maps wider than tall by 1/10^16 and one square map, all of side
 # about 1/10: the axis-1 thetas span [1 - 3.3e-16, 1], below what the
@@ -55,28 +43,6 @@ NEAR_FLAT_ROWS = [
                 Fraction(d, 10)) for d in (0, 1)] + [
     DiagonalMap(Fraction(1, 5), Fraction(1, 5),
                 Fraction(10 ** 14 - 1, 10 ** 15), Fraction(1, 5))]
-
-
-def random_gl_system(rng):
-    """Random wider-than-tall system: separated columns, stacked cells."""
-    k = int(rng.integers(2, 5))
-    widths = rng.uniform(0.08, 0.9 / k, size=k)
-    gaps = rng.dirichlet(np.ones(k + 1)) * (1.0 - widths.sum())
-    x = np.cumsum(gaps)[:-1] + np.concatenate([[0.0], np.cumsum(widths)[:-1]])
-    maps = []
-    for col in range(k):
-        n = int(rng.integers(1, 4))
-        hmax = min(widths[col] * 0.95, 0.9 / n)
-        heights = rng.uniform(0.02, hmax, size=n)
-        vgaps = rng.dirichlet(np.ones(n + 1)) * (1.0 - heights.sum())
-        y = np.cumsum(vgaps)[:-1] + np.concatenate([[0.0],
-                                                    np.cumsum(heights)[:-1]])
-        for i in range(n):
-            maps.append(DiagonalMap(float(widths[col]), float(heights[i]),
-                                    float(x[col]), float(y[i])))
-    system = validate(maps)
-    assert system.klass == "GatzourasLalley"
-    return system
 
 
 def shared_exponent_gl_system(rng, kind):
@@ -97,29 +63,6 @@ def shared_exponent_gl_system(rng, kind):
     system = validate(maps)
     assert system.klass == "GatzourasLalley"
     return system
-
-
-def random_baranski_system(rng):
-    """Random cells of a random grid: columns and rows align, and some cell
-    is not wider than tall.  Draws whose cells are all taller than wide are
-    GatzourasLalley along rows (draws 12 and 21 of default_rng(2024)); they
-    are kept, so each seed gives the draws it gave when they were classed
-    Baranski."""
-    while True:
-        widths = rng.dirichlet(np.ones(int(rng.integers(2, 5)))) * 0.95
-        heights = rng.dirichlet(np.ones(int(rng.integers(2, 5)))) * 0.95
-        x = np.concatenate([[0.0], np.cumsum(widths)[:-1]])
-        y = np.concatenate([[0.0], np.cumsum(heights)[:-1]])
-        cells = [(a, b) for a in range(len(widths))
-                 for b in range(len(heights))]
-        pick = rng.choice(len(cells), size=int(rng.integers(2, len(cells))),
-                          replace=False)
-        system = validate([DiagonalMap(float(widths[cells[c][0]]),
-                                       float(heights[cells[c][1]]),
-                                       float(x[cells[c][0]]),
-                                       float(y[cells[c][1]])) for c in pick])
-        if min(system.orientation) <= 0:
-            return system
 
 
 def many_thin_cells():
@@ -549,11 +492,6 @@ def test_box_roots_match_the_brentq_oracle():
             assert axis.box[1] <= 1e-12
         assert system.analysis.box[0] == max(axis.box[0]
                                              for axis in system.analysis.axes)
-
-
-def transpose(system):
-    """The mirror image of a carpet in the diagonal x = y."""
-    return validate([DiagonalMap(m.r2, m.r1, m.d2, m.d1) for m in system.maps])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

@@ -1,5 +1,5 @@
 """Geometry layer: sections, approximate squares, pseudo-cylinder counts,
-ball covers, packings, point clouds, tangents, and the 1-D fixtures.
+ball covers, point clouds, tangents, and the 1-D fixtures.
 
 Small integer counts come from tests/oracles/geometry_oracle.py (independent
 recursion / greedy sweep); closed-form dimension targets from
@@ -9,7 +9,6 @@ itself are pinned as regressions next to the tolerance that matters.
 
 import importlib.util
 import math
-import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,23 +17,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carpetdim import (DiagonalMap, EmptyInput, InvalidPacking, PointCloud,
-                       RangeError, Rect, WrongClass, WrongShape,
-                       approximate_square, attractor_cloud,
-                       box_count_ball, box_dimension_estimate,
+from carpetdim import (DiagonalMap, EmptyInput, PointCloud, RangeError, Rect,
+                       WrongClass, WrongShape, approximate_square,
+                       attractor_cloud, box_count_ball, box_dimension_estimate,
                        build_exceptional, cylinders_to_scale, directed_hausdorff,
                        fixture_fast_decay, fixture_progressions,
-                       hausdorff_distance, packing_check, projection_cloud,
+                       hausdorff_distance, projection_cloud,
                        pseudo_cylinder_count, psi_estimate, render_svg,
                        scale_count_table, slice_cloud, tangent_cloud, validate,
                        write_scale_counts_csv)
-from carpetdim.dimensions import _AxisProblem
 from carpetdim.geometry import (_band_guard, _band_rates, _grid_count,
                                 _grid_counts, _map_steps, _near, _point_at,
                                 _refine, _root, _squares)
-from carpets import HALF, QUARTER, gl2, gl3, square4, word
+from carpets import (HALF, QUARTER, gl2, gl3, glmix, random_baranski_system,
+                     random_gl_system, square4, word)
 from oracles.frozen import GL3_DIMB, GL3_DIMB_ESTIMATE
-from test_dimensions import random_baranski_system, random_gl_system
 
 
 def uni4():
@@ -42,15 +39,6 @@ def uni4():
     return validate([
         ([1, 2], [1, 4], 0, 0), ([1, 2], [1, 4], 0, [1, 4]),
         ([1, 2], [1, 4], [1, 2], 0), ([1, 2], [1, 4], [1, 2], [1, 4]),
-    ])
-
-
-def glmix():
-    # columns of unequal ratio (1/2 and 1/4) so pseudo-counts vary by branch
-    return validate([
-        (HALF, Fraction(1, 5), 0, 0),
-        (QUARTER, Fraction(1, 5), HALF, 0),
-        (QUARTER, Fraction(1, 5), HALF, Fraction(1, 5)),
     ])
 
 
@@ -341,73 +329,6 @@ def test_psi_estimate_rejects_nonpositive_radii():
     for radii in ((-0.25,), (0.0,), (0.25, 0.0)):
         with pytest.raises(RangeError):
             psi_estimate(gl3(), 0.5, radii=radii)
-
-
-# ------------------------------------------------------------------- packings
-
-def test_packing_check_accepts_small_disc():
-    system = gl3()
-    gamma = word((), (0,))               # coded point (0, 0)
-    assert packing_check(system, (gamma, 0.5), [((0,), 0.1)], 1.51)
-    assert packing_check(system, (gamma, 0.5), [((0,), 0.1)], 2.1)
-
-
-def test_packing_check_random_cylinder_packings():
-    # discs centered on section rectangles never beat the Assouad exponent
-    system = gl3()
-    fixed_points = {m: (float(mp.d1) / (1 - float(mp.r1)),
-                        float(mp.d2) / (1 - float(mp.r2)))
-                    for m, mp in enumerate(system.maps)}
-    rng = np.random.default_rng(5)
-    checked = 0
-    for _ in range(100):
-        m = int(rng.integers(0, 3))
-        cx, cy = fixed_points[m]
-        radius = float(rng.uniform(0.15, 0.45))
-        scale = float(rng.choice([1 / 8, 1 / 16, 1 / 32]))
-        pack = []
-        for w, rect in cylinders_to_scale(system, scale, 0):
-            r = 0.45 * min(rect.width, rect.height)
-            px, py = rect.center
-            if math.hypot(px - cx, py - cy) + r <= radius * 0.999:
-                pack.append((w, r))
-        if not pack:
-            continue
-        assert packing_check(system, (word((), (m,)), radius), pack, 1.51)
-        checked += 1
-    assert checked >= 60
-
-
-def test_packing_check_on_gl_never_maximises(monkeypatch):
-    # dimA comes from Moran roots alone; the Hausdorff maximisation is
-    # never needed to calibrate the packing constant
-    def refuse(self):
-        raise AssertionError("Ledrappier-Young maximisation for dimA")
-
-    monkeypatch.setattr(_AxisProblem, "maximise", refuse)
-    system = glmix()
-    assert packing_check(system, (word((), (0,)), 0.5), [((0,), 0.05)], 1.6)
-    assert "packing_constant" in vars(system)
-    assert "packing_constant" not in vars(pickle.loads(pickle.dumps(system)))
-
-
-def test_packing_check_needs_a_classified_system():
-    overlapping = validate([(HALF, QUARTER, 0, 0), (HALF, QUARTER, QUARTER, 0)])
-    with pytest.raises(WrongClass, match="DiagonalOnly"):
-        packing_check(overlapping, (word((), (0,)), 0.5), [((0,), 0.05)], 2.0)
-
-
-def test_packing_check_rejects_malformed_packings():
-    system = gl3()
-    gamma = word((), (0,))
-    with pytest.raises(InvalidPacking):
-        packing_check(system, (gamma, 0.5), [((0,), 0.1), ((0,), 0.1)], 2.0)
-    with pytest.raises(InvalidPacking):
-        packing_check(system, (gamma, 0.2), [((0,), 0.5)], 2.0)
-    with pytest.raises(InvalidPacking):
-        packing_check(system, (gamma, 0.5), [((0,), 0.0)], 2.0)
-    with pytest.raises(RangeError):
-        packing_check(system, (gamma, 1.5), [((0,), 0.1)], 2.0)
 
 
 # --------------------------------------------------------------- point clouds

@@ -20,9 +20,8 @@ from carpetdim import (approximate_square, attractor_cloud, box_count_ball,
                        tangent_cloud, validate)
 from carpetdim.geometry import (_ball_grid_count, _grid_count, _grid_counts,
                                 _point_at)
-from carpets import HALF, gl3, word
+from carpets import HALF, gl3, random_baranski_system, word
 from oracles.frozen import GL3_DIMB_ESTIMATE
-from test_dimensions import random_baranski_system
 
 
 def exc():

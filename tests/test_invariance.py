@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from carpetdim import (Unsupported, build_exceptional, level_set_dim,
                        pointwise_assouad_baranski, tangent_cloud, validate)
 from carpetdim.systems import GATZOURAS_LALLEY, long_axes
-from carpets import gl3, mcmullen, word
-from test_dimensions import (random_baranski_system, random_gl_system,
-                             transpose)
+from carpets import (gl3, mcmullen, random_baranski_system, random_gl_system,
+                     transpose, word)
 
 
 def random_mcmullen_system(rng):

@@ -12,6 +12,7 @@ import pytest
 from carpetdim import (ColumnSequence, EmptyInput, InvalidSystem,
                        nonauto_assouad, solve_moran, theta_window,
                        window_sup)
+from carpets import _homogeneous_window, _random_window
 
 # frozen from tests/oracles/moran_oracle.py
 ROOT_THIRD_SIXTH_SIXTH = 0.722629596943400
@@ -85,11 +86,6 @@ def test_theta_window_all_singletons_is_zero():
     assert theta_window([[0.5], [0.7], [0.2]]) == 0.0
 
 
-def _random_window(rng, length):
-    return [list(rng.uniform(0.05, 0.9, size=rng.integers(1, 5)))
-            for _ in range(length)]
-
-
 def test_theta_window_concat_between_min_and_max():
     # The exponent of a concatenation is a weighted mean of the two window
     # exponents (the product sum factorizes), so it can never leave
@@ -101,13 +97,6 @@ def test_theta_window_concat_between_min_and_max():
         t1, t2 = theta_window(w1), theta_window(w2)
         t12 = theta_window(w1 + w2)
         assert min(t1, t2) - 1e-9 <= t12 <= max(t1, t2) + 1e-9
-
-
-def _homogeneous_window(rng, length, branching):
-    # Every level repeats a single ratio `branching` times, chosen so the
-    # level fits in the unit interval with room to spare.
-    return [[float(rng.uniform(0.05, 0.9 / branching))] * branching
-            for _ in range(length)]
 
 
 def test_theta_window_subadditive_homogeneous():

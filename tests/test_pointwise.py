@@ -16,10 +16,10 @@ from carpetdim import (DiagonalMap, RangeError, Unsupported, WrongClass,
                        pointwise_assouad_gl, symbolic_slice, validate)
 from carpetdim import geometry
 from carpetdim.dimensions import _AxisProblem
-from carpets import HALF, QUARTER, gl2, gl3, mcmullen, square4, word
+from carpets import (HALF, QUARTER, gl2, gl3, glmix, mcmullen,
+                     random_gl_system, square4, word)
 from oracles.frozen import (EXC40_A1, EXC40_A2, EXC40_COLUMN_FIBER, EXC40_D1,
                             EXC40_ROW_FIBER, EXC_DIMB, GL3_DIMB, GL3_DIMH)
-from test_dimensions import random_gl_system
 
 
 # ------------------------------------------------------------------ slices
@@ -148,6 +148,10 @@ def test_level_set_dim_outside_skips_the_maximisation(monkeypatch):
     monkeypatch.setattr(_AxisProblem, "maximise", refuse)
     assert level_set_dim(gl3(), 1.0) == (None, False)
     assert level_set_dim(gl3(), 1.7) == (None, False)
+    # glmix's columns differ in fibre exponent, so its dimH needs the solve;
+    # dimB and dimA, which bound the levels, do not
+    assert level_set_dim(glmix(), 0.8) == (None, False)
+    assert level_set_dim(glmix(), 1.2) == (None, False)
 
 
 def test_level_set_dim_rejects_non_finite_alpha():
