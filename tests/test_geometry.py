@@ -9,6 +9,7 @@ itself are pinned as regressions next to the tolerance that matters.
 
 import importlib.util
 import math
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from carpetdim import (DiagonalMap, EmptyInput, PointCloud, RangeError, Rect,
                        pseudo_cylinder_count, psi_estimate, render_svg,
                        scale_count_table, slice_cloud, tangent_cloud, validate,
                        write_scale_counts_csv)
+from carpetdim.dimensions import _AxisProblem
 from carpetdim.geometry import (_band_guard, _band_rates, _grid_count,
                                 _grid_counts, _map_steps, _near, _point_at,
                                 _refine, _root, _squares)
@@ -329,6 +331,23 @@ def test_psi_estimate_rejects_nonpositive_radii():
     for radii in ((-0.25,), (0.0,), (0.25, 0.0)):
         with pytest.raises(RangeError):
             psi_estimate(gl3(), 0.5, radii=radii)
+
+
+# ----------------------------------------------------------- packing exponents
+
+def test_packing_check_on_gl_never_maximises(monkeypatch):
+    # dimB and dimA, the exponents that bound packings of a ball, come from
+    # Moran roots alone; glmix's dimH needs the Ledrappier-Young
+    # maximisation, these two never do
+    def refuse(self):
+        raise AssertionError("Ledrappier-Young maximisation for dimA")
+
+    monkeypatch.setattr(_AxisProblem, "maximise", refuse)
+    system = glmix()
+    dim_b, _ = system.analysis.box
+    assert 0.0 < dim_b < system.analysis.dimA < 2.0
+    assert "analysis" in vars(system)
+    assert "analysis" not in vars(pickle.loads(pickle.dumps(system)))
 
 
 # --------------------------------------------------------------- point clouds
